@@ -29,121 +29,10 @@
 //!
 //! Exit codes: `0` clean, `1` regression, `2` usage or parse error.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
-/// One benchmark cell: identity (name + params), timing, and checksum.
-#[derive(Debug, Clone, PartialEq)]
-struct Cell {
-    identity: String,
-    median_ms: f64,
-    checksum: Option<f64>,
-}
-
-/// Minimal parser for the snapshot dialect the `bench_snapshot` and
-/// `service_load` binaries write: a `"results"` array of flat objects with
-/// string or numeric values. Not a general JSON parser on purpose — the
-/// workspace is dependency-free and the input is machine-written.
-fn parse_cells(text: &str) -> Result<Vec<Cell>, String> {
-    let results_at = text
-        .find("\"results\"")
-        .ok_or_else(|| "no \"results\" array found".to_owned())?;
-    let rest = &text[results_at..];
-    let open = rest
-        .find('[')
-        .ok_or_else(|| "\"results\" is not an array".to_owned())?;
-    let mut cells = Vec::new();
-    let mut chars = rest[open + 1..].char_indices().peekable();
-    let body = &rest[open + 1..];
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '{' => {
-                let end = body[i..]
-                    .find('}')
-                    .map(|off| i + off)
-                    .ok_or_else(|| "unterminated result object".to_owned())?;
-                cells.push(parse_object(&body[i + 1..end])?);
-                while let Some(&(j, _)) = chars.peek() {
-                    if j <= end {
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            ']' => return Ok(cells),
-            c if c.is_whitespace() || c == ',' => {}
-            other => return Err(format!("unexpected character {other:?} in results array")),
-        }
-    }
-    Err("unterminated results array".to_owned())
-}
-
-/// Parses the interior of one flat `{...}` object (no nesting).
-fn parse_object(body: &str) -> Result<Cell, String> {
-    let mut fields: BTreeMap<String, String> = BTreeMap::new();
-    for pair in split_top_level(body) {
-        let (key, value) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("malformed field {pair:?}"))?;
-        let key = key.trim().trim_matches('"').to_owned();
-        let value = value.trim().trim_matches('"').to_owned();
-        fields.insert(key, value);
-    }
-    let name = fields
-        .remove("name")
-        .ok_or_else(|| "cell without a name".to_owned())?;
-    let median_ms = fields
-        .remove("median_ms")
-        .ok_or_else(|| format!("cell {name} lacks median_ms"))?
-        .parse::<f64>()
-        .map_err(|e| format!("cell {name}: bad median_ms: {e}"))?;
-    let checksum = fields
-        .remove("checksum")
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|e| format!("cell {name}: bad checksum: {e}"))
-        })
-        .transpose()?;
-    let params: Vec<String> = fields
-        .into_iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect();
-    Ok(Cell {
-        identity: if params.is_empty() {
-            name
-        } else {
-            format!("{name}[{}]", params.join(", "))
-        },
-        median_ms,
-        checksum,
-    })
-}
-
-/// Splits `a: 1, b: "x,y"` on commas outside string literals.
-fn split_top_level(body: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut current = String::new();
-    let mut in_string = false;
-    for c in body.chars() {
-        match c {
-            '"' => {
-                in_string = !in_string;
-                current.push(c);
-            }
-            ',' if !in_string => {
-                if !current.trim().is_empty() {
-                    parts.push(std::mem::take(&mut current));
-                }
-            }
-            _ => current.push(c),
-        }
-    }
-    if !current.trim().is_empty() {
-        parts.push(current);
-    }
-    parts
-}
+use moqo_bench::snapshot::{self, Cell};
 
 fn run(args: &[String]) -> Result<Vec<String>, String> {
     let mut paths = Vec::new();
@@ -174,46 +63,43 @@ fn run(args: &[String]) -> Result<Vec<String>, String> {
             .to_owned());
     };
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
-    let baseline = parse_cells(&read(baseline_path)?)?;
-    let candidate = parse_cells(&read(candidate_path)?)?;
-    let candidate_map: BTreeMap<&str, &Cell> =
-        candidate.iter().map(|c| (c.identity.as_str(), c)).collect();
+    let baseline = snapshot::parse(&read(baseline_path)?)?;
+    let candidate = snapshot::parse(&read(candidate_path)?)?;
+    let candidate_map: BTreeMap<String, &Cell> =
+        candidate.iter().map(|c| (c.identity(), c)).collect();
 
     let mut failures = Vec::new();
     for base in &baseline {
-        let Some(cand) = candidate_map.get(base.identity.as_str()) else {
-            failures.push(format!("cell disappeared: {}", base.identity));
+        let identity = base.identity();
+        let Some(cand) = candidate_map.get(&identity) else {
+            failures.push(format!("cell disappeared: {identity}"));
             continue;
         };
-        if let (Some(b), Some(c)) = (base.checksum, cand.checksum) {
-            #[allow(clippy::float_cmp)]
-            if b != c {
-                failures.push(format!(
-                    "checksum mismatch in {}: baseline {b} vs candidate {c}",
-                    base.identity
-                ));
-                continue;
-            }
+        if base.checksum != cand.checksum {
+            failures.push(format!(
+                "checksum mismatch in {identity}: baseline {} vs candidate {}",
+                base.checksum, cand.checksum
+            ));
+            continue;
         }
         if let Some(pct) = max_regression {
             let gated = timing_cells.is_empty()
                 || timing_cells
                     .iter()
-                    .any(|p| base.identity.starts_with(p.as_str()));
+                    .any(|p| identity.starts_with(p.as_str()));
             let limit = base.median_ms * (1.0 + pct / 100.0);
             if gated && cand.median_ms > limit && cand.median_ms - base.median_ms > 0.01 {
                 failures.push(format!(
-                    "timing regression in {}: {:.3} ms → {:.3} ms (> +{pct}%)",
-                    base.identity, base.median_ms, cand.median_ms
+                    "timing regression in {identity}: {:.3} ms → {:.3} ms (> +{pct}%)",
+                    base.median_ms, cand.median_ms
                 ));
             }
         }
     }
-    let known: std::collections::BTreeSet<&str> =
-        baseline.iter().map(|c| c.identity.as_str()).collect();
-    for cand in &candidate {
-        if !known.contains(cand.identity.as_str()) {
-            eprintln!("note: new cell (not gated): {}", cand.identity);
+    let known: BTreeSet<String> = baseline.iter().map(Cell::identity).collect();
+    for identity in candidate_map.keys() {
+        if !known.contains(identity) {
+            eprintln!("note: new cell (not gated): {identity}");
         }
     }
     println!(
@@ -257,12 +143,12 @@ mod tests {
 
     #[test]
     fn parses_cells_with_identity() {
-        let cells = parse_cells(SNAPSHOT).unwrap();
+        let cells = snapshot::parse(SNAPSHOT).unwrap();
         assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].identity, "exa_chain[tables=6]");
+        assert_eq!(cells[0].identity(), "exa_chain[tables=6]");
         assert_eq!(cells[0].median_ms, 20.5);
-        assert_eq!(cells[0].checksum, Some(11.0));
-        assert_eq!(cells[1].identity, "rmq_chain[tables=8, threads=2]");
+        assert_eq!(cells[0].checksum, 11);
+        assert_eq!(cells[1].identity(), "rmq_chain[tables=8, threads=2]");
     }
 
     #[test]

@@ -33,6 +33,7 @@
 
 use std::time::Instant;
 
+use moqo_bench::snapshot::{self, Cell};
 use moqo_core::pareto::{FrontierStructure, PlanEntry, PlanSet, PruneStrategy};
 use moqo_core::{exa, rmq, Deadline, RmqConfig};
 use moqo_cost::{CostVector, Objective, ObjectiveSet, Preference};
@@ -41,21 +42,12 @@ use moqo_plan::{PlanId, PlanProps, SortOrder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-struct Cell {
-    name: String,
-    params: Vec<(&'static str, String)>,
-    median_ms: f64,
-    /// Workload-specific integrity value (front/set size) proving the
-    /// measured runs did equivalent work across snapshots.
-    checksum: usize,
-}
-
-fn median_ms(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
+fn median_ms(reps: usize, mut f: impl FnMut() -> usize) -> (f64, u64) {
     let mut times: Vec<f64> = Vec::with_capacity(reps);
     let mut checksum = 0;
     for _ in 0..reps {
         let started = Instant::now();
-        checksum = f();
+        checksum = f() as u64;
         times.push(started.elapsed().as_secs_f64() * 1e3);
     }
     times.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
@@ -85,10 +77,6 @@ fn random_entries(n: usize, objectives: usize, seed: u64) -> Vec<PlanEntry> {
         .collect()
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Emits the frontier engine's probe-outcome counters for one EXA cell as
 /// zero-time rows: the checksum IS the counter, so snapshot diffs surface
 /// how the structure resolved the run's dominance probes (grid-cell hits
@@ -96,15 +84,11 @@ fn json_escape(s: &str) -> String {
 fn push_probe_cells(cells: &mut Vec<Cell>, workload: &str, tables: usize, probes: (u64, u64)) {
     let (grid_hits, scan_probes) = probes;
     for (outcome, value) in [("grid_hit", grid_hits), ("scan", scan_probes)] {
-        cells.push(Cell {
-            name: format!("{workload}_probes"),
-            params: vec![
-                ("tables", tables.to_string()),
-                ("outcome", format!("\"{outcome}\"")),
-            ],
-            median_ms: 0.0,
-            checksum: usize::try_from(value).expect("probe counters fit usize"),
-        });
+        cells.push(
+            Cell::new(format!("{workload}_probes"), 0.0, value)
+                .param("tables", tables)
+                .param("outcome", outcome),
+        );
     }
     println!("{workload}_probes tables={tables}: grid_hit {grid_hits} / scan {scan_probes}");
 }
@@ -140,27 +124,23 @@ fn main() {
             }
             set.len()
         });
-        cells.push(Cell {
-            name: "dp_insert_stream".into(),
-            params: vec![
-                ("objectives", n_objs.to_string()),
-                ("vectors", "2000".into()),
-            ],
-            median_ms: ms,
-            checksum: front,
-        });
+        cells.push(
+            Cell::new("dp_insert_stream", ms, front)
+                .param("objectives", n_objs)
+                .param("vectors", 2000),
+        );
         println!("dp_insert_stream objectives={n_objs}: {ms:.3} ms (set {front})");
     }
 
     // Frontier structures head-to-head: the same insert stream pinned to
-    // each layout. `plain` is the seed's linear scan; `grid` forces the
+    // each layout. `plain` is the linear scan; `grid` forces the
     // sub-linear engine (two-level props-class fronts + grid-bucket index)
     // from the first insert. Equal checksums per objective count certify
     // that the engine's fronts are byte-identical to the plain sets'.
     for &n_objs in &[2usize, 6, 9] {
         let objs: ObjectiveSet = Objective::ALL.into_iter().take(n_objs).collect();
         let entries = random_entries(2000, n_objs, 99);
-        let mut fronts: Vec<usize> = Vec::new();
+        let mut fronts: Vec<u64> = Vec::new();
         for (layout, structure) in [
             ("plain", FrontierStructure::Plain),
             ("grid", FrontierStructure::Indexed),
@@ -174,16 +154,12 @@ fn main() {
                 set.len()
             });
             fronts.push(front);
-            cells.push(Cell {
-                name: "frontier_insert_stream".into(),
-                params: vec![
-                    ("objectives", n_objs.to_string()),
-                    ("layout", format!("\"{layout}\"")),
-                    ("vectors", "2000".into()),
-                ],
-                median_ms: ms,
-                checksum: front,
-            });
+            cells.push(
+                Cell::new("frontier_insert_stream", ms, front)
+                    .param("objectives", n_objs)
+                    .param("layout", layout)
+                    .param("vectors", 2000),
+            );
             println!("frontier_insert_stream objectives={n_objs} layout={layout}: {ms:.3} ms (set {front})");
         }
         assert!(
@@ -205,12 +181,7 @@ fn main() {
             );
             result.final_plans.len()
         });
-        cells.push(Cell {
-            name: "exa_chain".into(),
-            params: vec![("tables", n.to_string())],
-            median_ms: ms,
-            checksum: front,
-        });
+        cells.push(Cell::new("exa_chain", ms, front).param("tables", n));
         println!("exa_chain tables={n}: {ms:.3} ms (front {front})");
         push_probe_cells(&mut cells, "exa_chain", n, probes);
     }
@@ -233,12 +204,7 @@ fn main() {
             );
             result.final_plans.len()
         });
-        cells.push(Cell {
-            name: "exa_chain_props".into(),
-            params: vec![("tables", n.to_string())],
-            median_ms: ms,
-            checksum: front,
-        });
+        cells.push(Cell::new("exa_chain_props", ms, front).param("tables", n));
         println!("exa_chain_props tables={n}: {ms:.3} ms (front {front})");
         push_probe_cells(&mut cells, "exa_chain_props", n, probes);
     }
@@ -257,16 +223,12 @@ fn main() {
                         .final_plans
                         .len()
                 });
-                cells.push(Cell {
-                    name: "rmq_chain".into(),
-                    params: vec![
-                        ("tables", n.to_string()),
-                        ("samples", samples.to_string()),
-                        ("threads", threads.to_string()),
-                    ],
-                    median_ms: ms,
-                    checksum: front,
-                });
+                cells.push(
+                    Cell::new("rmq_chain", ms, front)
+                        .param("tables", n)
+                        .param("samples", samples)
+                        .param("threads", threads),
+                );
                 println!(
                     "rmq_chain tables={n} samples={samples} threads={threads}: \
                      {ms:.3} ms (front {front})"
@@ -275,20 +237,19 @@ fn main() {
         }
     }
 
-    // Service metrics snapshot cost: the seed cloned and sorted the full
-    // latency history under a lock on every snapshot, so cost grew with
-    // uptime. The histogram rewrite makes it O(buckets); these cells pin
-    // that — the 100× column must not cost 100× (the binary asserts a
-    // generous 20× ceiling to stay robust on noisy CI machines).
+    // Service metrics snapshot cost: O(buckets), independent of uptime.
+    // These cells pin that — the 100× column must not cost 100× (the
+    // binary asserts a generous 20× ceiling to stay robust on noisy CI
+    // machines).
     {
-        use moqo_service::{PlanCache, ServiceMetrics};
+        use moqo_service::{PlanCache, ServiceCounter, ServiceMetrics};
         use std::time::Duration;
         let cache = PlanCache::new(8, 1);
         let mut medians: Vec<f64> = Vec::new();
         for &completions in &[10_000u64, 1_000_000] {
             let metrics = ServiceMetrics::default();
             for i in 0..completions {
-                metrics.on_submitted();
+                metrics.bump(ServiceCounter::Submitted);
                 metrics.on_completed(
                     Duration::from_micros(i % 3_000),
                     Duration::from_micros(500 + i % 20_000),
@@ -303,12 +264,9 @@ fn main() {
                 usize::try_from(completed).expect("counts fit usize")
             });
             medians.push(ms);
-            cells.push(Cell {
-                name: "metrics_snapshot_cost".into(),
-                params: vec![("completions", completions.to_string())],
-                median_ms: ms,
-                checksum: count,
-            });
+            cells.push(
+                Cell::new("metrics_snapshot_cost", ms, count).param("completions", completions),
+            );
             println!("metrics_snapshot_cost completions={completions}: {ms:.3} ms / 64 snapshots");
         }
         assert!(
@@ -320,30 +278,12 @@ fn main() {
         );
     }
 
-    // Hand-rolled JSON: the workspace is dependency-free by design.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"moqo-bench-snapshot/v1\",\n");
-    json.push_str("  \"pr\": 6,\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let params: Vec<String> = c
-            .params
-            .iter()
-            .map(|(k, v)| format!("\"{}\": {}", json_escape(k), v))
-            .collect();
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", {}, \"median_ms\": {:.4}, \"checksum\": {}}}{}\n",
-            json_escape(&c.name),
-            params.join(", "),
-            c.median_ms,
-            c.checksum,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let header = [
+        ("pr", "6".to_owned()),
+        ("smoke", smoke.to_string()),
+        ("reps", reps.to_string()),
+    ];
+    let json = snapshot::write(&header, &cells);
     std::fs::write(&out_path, json).expect("snapshot file must be writable");
     println!("\nwrote {} cells to {out_path}", cells.len());
 }

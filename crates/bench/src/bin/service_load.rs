@@ -58,6 +58,7 @@
 
 use std::time::{Duration, Instant};
 
+use moqo_bench::snapshot::Cell;
 use moqo_catalog::Catalog;
 use moqo_core::Algorithm;
 use moqo_cost::{Objective, ObjectiveSet, Preference};
@@ -110,17 +111,6 @@ fn pool(catalog: &Catalog, rmq_samples: u64) -> Vec<OptimizationRequest> {
         }
     }
     pool
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-struct Cell {
-    name: &'static str,
-    params: Vec<(&'static str, String)>,
-    median_ms: f64,
-    checksum: u64,
 }
 
 /// Robustness counters a fault plan predicts for the submitted ordinals.
@@ -383,8 +373,7 @@ fn main() {
     );
 
     assert_eq!(metrics.completed, completed);
-    // The per-variant error counters must partition the error space: what
-    // the seed folded into one overloaded "rejected" number is now
+    // The per-variant error counters must partition the error space:
     // rejected + timed_out + failed + shed, and nothing can fall between
     // the counters.
     assert_eq!(
@@ -435,42 +424,29 @@ fn main() {
         assert_eq!(metrics.shed, 0, "brownout is off in this trace");
     }
 
-    let base_params = vec![
-        ("workers", workers.to_string()),
-        ("requests", requests.to_string()),
-    ];
-    let latency_cell = |pct: &'static str, value: std::time::Duration| Cell {
-        name: "service_load_latency",
-        params: {
-            let mut v = base_params.clone();
-            v.push(("percentile", pct.to_owned()));
-            v
-        },
-        median_ms: value.as_secs_f64() * 1e3,
-        checksum: completed,
+    let base = |name: &str, median_ms: f64, checksum: u64| {
+        Cell::new(name, median_ms, checksum)
+            .param("workers", workers)
+            .param("requests", requests)
+    };
+    let latency_cell = |pct: &str, value: Duration| {
+        base("service_load_latency", value.as_secs_f64() * 1e3, completed).param("percentile", pct)
     };
     let mut cells = vec![
         latency_cell("50", metrics.p50),
         latency_cell("95", metrics.p95),
         latency_cell("99", metrics.p99),
-        Cell {
-            name: "service_load_hit_ratio_pct",
-            params: base_params.clone(),
-            median_ms: hit_ratio * 100.0,
-            checksum: completed,
-        },
-        Cell {
-            name: "service_load_throughput_rps",
-            params: base_params.clone(),
-            median_ms: completed as f64 / wall.as_secs_f64(),
-            checksum: completed,
-        },
-        Cell {
-            name: "service_load_rmq_blocks",
-            params: base_params.clone(),
-            median_ms: metrics.blocks_rmq as f64,
-            checksum: completed,
-        },
+        base("service_load_hit_ratio_pct", hit_ratio * 100.0, completed),
+        base(
+            "service_load_throughput_rps",
+            completed as f64 / wall.as_secs_f64(),
+            completed,
+        ),
+        base(
+            "service_load_rmq_blocks",
+            metrics.blocks_rmq as f64,
+            completed,
+        ),
     ];
     if replay > 0 {
         if faults.is_none() {
@@ -484,14 +460,10 @@ fn main() {
                 ("warm_starts", metrics.cache.warm_starts),
                 ("insertions", metrics.cache.insertions),
             ] {
-                let mut params = base_params.clone();
-                params.push(("counter", counter.to_owned()));
-                cells.push(Cell {
-                    name: "service_load_replay_cache",
-                    params,
-                    median_ms: value as f64,
-                    checksum: value,
-                });
+                cells.push(
+                    base("service_load_replay_cache", value as f64, value)
+                        .param("counter", counter),
+                );
             }
         }
         // The per-variant error counters, gated the same way: a replay
@@ -505,14 +477,9 @@ fn main() {
             ("failed", metrics.failed),
             ("shed", metrics.shed),
         ] {
-            let mut params = base_params.clone();
-            params.push(("variant", variant.to_owned()));
-            cells.push(Cell {
-                name: "service_load_replay_errors",
-                params,
-                median_ms: value as f64,
-                checksum: value,
-            });
+            cells.push(
+                base("service_load_replay_errors", value as f64, value).param("variant", variant),
+            );
         }
         // The robustness counters: caught panics, supervisor respawns and
         // injected rejections replay byte-stable because faults are keyed
@@ -523,14 +490,9 @@ fn main() {
             ("respawns", metrics.respawns),
             ("injected_queue_full", outcomes.injected_full),
         ] {
-            let mut params = base_params.clone();
-            params.push(("counter", counter.to_owned()));
-            cells.push(Cell {
-                name: "service_load_fault_replay",
-                params,
-                median_ms: value as f64,
-                checksum: value,
-            });
+            cells.push(
+                base("service_load_fault_replay", value as f64, value).param("counter", counter),
+            );
         }
     }
     if let Some(snapshot) = &trace_snapshot {
@@ -553,47 +515,15 @@ fn main() {
                 ("error_exemplars", snapshot.error_exemplars.len() as u64),
                 ("stream_checksum", snapshot.stream_checksum),
             ] {
-                let mut params = base_params.clone();
-                params.push(("counter", counter.to_owned()));
-                cells.push(Cell {
-                    name: "service_trace_replay",
-                    params,
-                    median_ms: 0.0,
-                    checksum: value,
-                });
+                cells.push(base("service_trace_replay", 0.0, value).param("counter", counter));
             }
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"moqo-bench-snapshot/v1\",\n");
-    json.push_str("  \"pr\": 7,\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let params: Vec<String> = c
-            .params
-            .iter()
-            .map(|(k, v)| {
-                // Numeric values stay bare; anything else is a JSON string.
-                if v.parse::<f64>().is_ok() {
-                    format!("\"{}\": {}", json_escape(k), v)
-                } else {
-                    format!("\"{}\": \"{}\"", json_escape(k), json_escape(v))
-                }
-            })
-            .collect();
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", {}, \"median_ms\": {:.4}, \"checksum\": {}}}{}\n",
-            json_escape(c.name),
-            params.join(", "),
-            c.median_ms,
-            c.checksum,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let json = moqo_bench::snapshot::write(
+        &[("pr", "7".to_owned()), ("smoke", smoke.to_string())],
+        &cells,
+    );
     std::fs::write(&out_path, json).expect("snapshot file must be writable");
     println!("\nwrote {} cells to {out_path}", cells.len());
 }

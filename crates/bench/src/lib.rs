@@ -26,6 +26,7 @@ use std::time::Duration;
 
 pub mod experiments;
 pub mod report;
+pub mod snapshot;
 
 pub use experiments::{bounded_rank_cost, run_case, CaseResult};
 pub use report::{fmt_duration_ms, fmt_memory_kb, Aggregate, Table};

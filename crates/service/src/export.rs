@@ -4,9 +4,15 @@
 //! [`MetricsSnapshot`](crate::MetricsSnapshot) counter and gauge plus the
 //! three latency [`LogHistogram`](crate::LogHistogram)s as cumulative
 //! buckets — the future TCP frontend can serve `/metrics` verbatim.
+//!
+//! Every exposition family is one row of the ordered `SERIES` table:
+//! name, help text, and a getter that also fixes the `# TYPE`.
+
+use std::fmt::Write;
+use std::ops::Deref;
 
 use crate::histogram::HistogramSnapshot;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{AlgorithmKind, MetricsSnapshot};
 use crate::trace::{
     commutative_checksum, stream_checksum, Exemplar, FlightRecorder, TraceEvent, TraceStats,
 };
@@ -142,295 +148,200 @@ fn push_exemplars(out: &mut String, exemplars: &[Exemplar]) {
     }
 }
 
-fn push_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-    ));
+/// What one scrape renders: the metrics snapshot plus the two live values
+/// it does not carry. Derefs to the snapshot, so series getters read its
+/// fields directly.
+struct Scrape<'a> {
+    metrics: &'a MetricsSnapshot,
+    queued: usize,
+    trace: TraceStats,
 }
 
-fn push_gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-    ));
+impl Deref for Scrape<'_> {
+    type Target = MetricsSnapshot;
+
+    fn deref(&self) -> &MetricsSnapshot {
+        self.metrics
+    }
 }
 
-#[allow(clippy::cast_precision_loss)]
-fn push_histogram(out: &mut String, name: &str, help: &str, snapshot: &HistogramSnapshot) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-    // Only the buckets where the cumulative count advances are emitted
-    // (496 fixed buckets are mostly empty); `+Inf` always closes the
-    // series, as the exposition format requires.
-    let mut last = 0u64;
-    for (hi_us, cumulative) in snapshot.cumulative_buckets() {
-        if cumulative != last && hi_us != u64::MAX {
-            out.push_str(&format!(
-                "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                hi_us as f64 / 1e6
-            ));
-            last = cumulative;
+/// How one family's samples are read off a [`Scrape`]; the variant also
+/// fixes the family's `# TYPE`.
+enum Samples {
+    /// One unlabelled counter sample.
+    Counter(fn(&Scrape<'_>) -> u64),
+    /// One unlabelled gauge sample.
+    Gauge(fn(&Scrape<'_>) -> f64),
+    /// Counter samples keyed by the given label.
+    LabelledCounter(&'static str, fn(&Scrape<'_>) -> Vec<(String, u64)>),
+    /// Gauge samples keyed by the given label.
+    LabelledGauge(&'static str, fn(&Scrape<'_>) -> Vec<(String, f64)>),
+    /// A latency histogram as cumulative buckets plus `_sum` and `_count`.
+    Histogram(fn(&MetricsSnapshot) -> &HistogramSnapshot),
+}
+
+/// One exposition family: name, help text and samples.
+struct Series(&'static str, &'static str, Samples);
+
+use Samples::{Counter, Gauge, Histogram, LabelledCounter, LabelledGauge};
+
+/// Every service series, in exposition order. A new metric is one row.
+#[rustfmt::skip]
+const SERIES: &[Series] = &[
+    Series("moqo_uptime_seconds", "Time since the service started.", Gauge(|s| s.uptime.as_secs_f64())),
+    Series("moqo_submitted_total", "Requests accepted into the queue.", Counter(|s| s.submitted)),
+    Series("moqo_completed_total", "Requests answered with a plan.", Counter(|s| s.completed)),
+    Series("moqo_rejected_total", "Requests rejected by admission control.", Counter(|s| s.rejected)),
+    Series("moqo_timed_out_total", "Requests whose deadline expired mid-flight.", Counter(|s| s.timed_out)),
+    Series("moqo_failed_total", "Requests lost to internal errors.", Counter(|s| s.failed)),
+    Series("moqo_queue_full_total", "Submissions bounced off a full queue.", Counter(|s| s.queue_full)),
+    Series("moqo_shed_total", "Submissions shed by the brownout controller.", Counter(|s| s.shed)),
+    Series("moqo_panics_total", "Worker panics caught at the job boundary.", Counter(|s| s.panics_total)),
+    Series("moqo_respawns_total", "Workers respawned by the supervisor.", Counter(|s| s.respawns)),
+    Series("moqo_stalls_detected_total", "Wedged workers detected and replaced.", Counter(|s| s.stalls_detected)),
+    Series("moqo_degraded_blocks_total", "Blocks browned out under load pressure.", Counter(|s| s.degraded_blocks)),
+    Series("moqo_downgraded_blocks_total", "Blocks that ran a weaker algorithm than preferred.", Counter(|s| s.downgraded_blocks)),
+    Series("moqo_throughput_rps", "Completed requests per second over the current window.", Gauge(|s| s.throughput_rps)),
+    Series("moqo_blocks_total", "Blocks served, by algorithm family.", LabelledCounter("algorithm", blocks_by_algorithm)),
+    Series(
+        "moqo_request_latency_quantile_seconds",
+        "Log-bucket latency quantiles (lower bound of the bucket holding the order statistic).",
+        LabelledGauge("q", latency_quantiles),
+    ),
+    Series("moqo_cache_hits_total", "Plan-cache direct serves.", Counter(|s| s.cache.hits)),
+    Series("moqo_cache_misses_total", "Plan-cache lookups not served directly.", Counter(|s| s.cache.misses)),
+    Series("moqo_cache_warm_starts_total", "Misses that seeded an RMQ warm start.", Counter(|s| s.cache.warm_starts)),
+    Series("moqo_cache_insertions_total", "Plan-cache entries written.", Counter(|s| s.cache.insertions)),
+    Series("moqo_cache_evictions_total", "Plan-cache LRU evictions.", Counter(|s| s.cache.evictions)),
+    Series("moqo_cache_entries", "Plan-cache entries currently resident.", Gauge(|s| s.cache.entries as f64)),
+    Series("moqo_cache_shard_entries", "Resident entries per cache shard.", LabelledGauge("shard", shard_entries)),
+    Series("moqo_cache_shard_evictions_total", "LRU evictions per cache shard.", LabelledCounter("shard", shard_evictions)),
+    Series("moqo_queue_depth", "Requests currently waiting in the queue.", Gauge(|s| s.queued as f64)),
+    Series("moqo_alive_workers", "Workers currently registered as live.", Gauge(|s| s.alive_workers as f64)),
+    Series(
+        "moqo_pressure_seconds",
+        "EWMA of recent queue waits (the brownout signal); 0 before any sample.",
+        Gauge(|s| s.pressure.map_or(0.0, |p| p.as_secs_f64())),
+    ),
+    Series("moqo_request_latency_seconds", "End-to-end latency, submission to response.", Histogram(|s| &s.latency_histogram)),
+    Series("moqo_queue_wait_seconds", "Queue wait, submission to worker pickup.", Histogram(|s| &s.queue_wait_histogram)),
+    Series("moqo_service_time_seconds", "Processing time, worker pickup to response.", Histogram(|s| &s.service_time_histogram)),
+];
+
+/// The flight-recorder series, appended when tracing is enabled.
+#[rustfmt::skip]
+const TRACE_SERIES: &[Series] = &[
+    Series("moqo_trace_events_total", "Flight-recorder events ever recorded.", Counter(|s| s.trace.events_total)),
+    Series("moqo_trace_dropped_events_total", "Ring events overwritten before a snapshot saw them.", Counter(|s| s.trace.dropped_events)),
+    Series("moqo_trace_error_exemplars", "Error-class exemplar traces currently retained.", Gauge(|s| s.trace.error_exemplars as f64)),
+    Series("moqo_trace_error_exemplars_dropped_total", "Error exemplars evicted from the bounded store.", Counter(|s| s.trace.error_exemplars_dropped)),
+];
+
+fn blocks_by_algorithm(s: &Scrape<'_>) -> Vec<(String, u64)> {
+    let counts = [
+        s.blocks_exa,
+        s.blocks_rta,
+        s.blocks_ira,
+        s.blocks_rmq,
+        s.blocks_cached,
+    ];
+    AlgorithmKind::ALL
+        .iter()
+        .zip(counts)
+        .map(|(kind, count)| (kind.name().to_owned(), count))
+        .collect()
+}
+
+fn latency_quantiles(s: &Scrape<'_>) -> Vec<(String, f64)> {
+    [("0.5", s.p50), ("0.95", s.p95), ("0.99", s.p99)]
+        .iter()
+        .map(|(q, value)| ((*q).to_owned(), value.as_secs_f64()))
+        .collect()
+}
+
+fn shard_entries(s: &Scrape<'_>) -> Vec<(String, f64)> {
+    let shards = s.cache.per_shard.iter().enumerate();
+    shards
+        .map(|(i, c)| (i.to_string(), c.entries as f64))
+        .collect()
+}
+
+fn shard_evictions(s: &Scrape<'_>) -> Vec<(String, u64)> {
+    let shards = s.cache.per_shard.iter().enumerate();
+    shards.map(|(i, c)| (i.to_string(), c.evictions)).collect()
+}
+
+impl Series {
+    /// Appends the family's `# HELP`/`# TYPE` header and samples. The
+    /// `write!` results are discarded: writing into a `String` cannot fail.
+    fn render(&self, out: &mut String, scrape: &Scrape<'_>) {
+        let Series(name, help, samples) = self;
+        let kind = match samples {
+            Counter(_) | LabelledCounter(..) => "counter",
+            Gauge(_) | LabelledGauge(..) => "gauge",
+            Histogram(_) => "histogram",
+        };
+        let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
+        match samples {
+            Counter(get) => {
+                let _ = writeln!(out, "{name} {}", get(scrape));
+            }
+            Gauge(get) => {
+                let _ = writeln!(out, "{name} {}", get(scrape));
+            }
+            LabelledCounter(label, get) => {
+                for (value, sample) in get(scrape) {
+                    let _ = writeln!(out, "{name}{{{label}=\"{value}\"}} {sample}");
+                }
+            }
+            LabelledGauge(label, get) => {
+                for (value, sample) in get(scrape) {
+                    let _ = writeln!(out, "{name}{{{label}=\"{value}\"}} {sample}");
+                }
+            }
+            Histogram(get) => {
+                let snapshot = get(scrape.metrics);
+                // Only the buckets where the cumulative count advances are
+                // emitted (496 fixed buckets are mostly empty); `+Inf`
+                // always closes the series, as the exposition format
+                // requires.
+                let mut last = 0u64;
+                for (hi_us, cumulative) in snapshot.cumulative_buckets() {
+                    if cumulative != last && hi_us != u64::MAX {
+                        let le = hi_us as f64 / 1e6;
+                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+                        last = cumulative;
+                    }
+                }
+                let count = snapshot.count();
+                let sum = snapshot.sum_us() as f64 / 1e6;
+                let _ = write!(
+                    out,
+                    "{name}_bucket{{le=\"+Inf\"}} {count}\n{name}_sum {sum}\n{name}_count {count}\n"
+                );
+            }
         }
     }
-    out.push_str(&format!(
-        "{name}_bucket{{le=\"+Inf\"}} {}\n",
-        snapshot.count()
-    ));
-    out.push_str(&format!("{name}_sum {}\n", snapshot.sum_us() as f64 / 1e6));
-    out.push_str(&format!("{name}_count {}\n", snapshot.count()));
 }
 
 /// Renders the full metrics surface in the Prometheus text exposition
-/// format: every [`MetricsSnapshot`] counter, the live gauges (pressure,
-/// alive workers, queue depth, cache occupancy per shard), the three
-/// latency histograms as cumulative buckets, the log-bucket quantiles,
-/// and — when tracing is enabled — the flight-recorder totals.
+/// format: every `SERIES` row over `metrics` and the current queue
+/// depth, then — when tracing is enabled — the flight-recorder totals.
 #[must_use]
-#[allow(clippy::cast_precision_loss)]
 pub fn render_prometheus(
     metrics: &MetricsSnapshot,
-    latency: &HistogramSnapshot,
-    queue_wait: &HistogramSnapshot,
-    service_time: &HistogramSnapshot,
     queued: usize,
     trace: Option<TraceStats>,
 ) -> String {
+    let scrape = Scrape {
+        metrics,
+        queued,
+        trace: trace.unwrap_or_default(),
+    };
+    let trace_series = if trace.is_some() { TRACE_SERIES } else { &[] };
     let mut out = String::with_capacity(8192);
-    push_gauge(
-        &mut out,
-        "moqo_uptime_seconds",
-        "Time since the service started.",
-        metrics.uptime.as_secs_f64(),
-    );
-    push_counter(
-        &mut out,
-        "moqo_submitted_total",
-        "Requests accepted into the queue.",
-        metrics.submitted,
-    );
-    push_counter(
-        &mut out,
-        "moqo_completed_total",
-        "Requests answered with a plan.",
-        metrics.completed,
-    );
-    push_counter(
-        &mut out,
-        "moqo_rejected_total",
-        "Requests rejected by admission control.",
-        metrics.rejected,
-    );
-    push_counter(
-        &mut out,
-        "moqo_timed_out_total",
-        "Requests whose deadline expired mid-flight.",
-        metrics.timed_out,
-    );
-    push_counter(
-        &mut out,
-        "moqo_failed_total",
-        "Requests lost to internal errors.",
-        metrics.failed,
-    );
-    push_counter(
-        &mut out,
-        "moqo_queue_full_total",
-        "Submissions bounced off a full queue.",
-        metrics.queue_full,
-    );
-    push_counter(
-        &mut out,
-        "moqo_shed_total",
-        "Submissions shed by the brownout controller.",
-        metrics.shed,
-    );
-    push_counter(
-        &mut out,
-        "moqo_panics_total",
-        "Worker panics caught at the job boundary.",
-        metrics.panics_total,
-    );
-    push_counter(
-        &mut out,
-        "moqo_respawns_total",
-        "Workers respawned by the supervisor.",
-        metrics.respawns,
-    );
-    push_counter(
-        &mut out,
-        "moqo_stalls_detected_total",
-        "Wedged workers detected and replaced.",
-        metrics.stalls_detected,
-    );
-    push_counter(
-        &mut out,
-        "moqo_degraded_blocks_total",
-        "Blocks browned out under load pressure.",
-        metrics.degraded_blocks,
-    );
-    push_counter(
-        &mut out,
-        "moqo_downgraded_blocks_total",
-        "Blocks that ran a weaker algorithm than preferred.",
-        metrics.downgraded_blocks,
-    );
-    push_gauge(
-        &mut out,
-        "moqo_throughput_rps",
-        "Completed requests per second over the current window.",
-        metrics.throughput_rps,
-    );
-
-    out.push_str(
-        "# HELP moqo_blocks_total Blocks served, by algorithm family.\n\
-         # TYPE moqo_blocks_total counter\n",
-    );
-    for (family, count) in [
-        ("exa", metrics.blocks_exa),
-        ("rta", metrics.blocks_rta),
-        ("ira", metrics.blocks_ira),
-        ("rmq", metrics.blocks_rmq),
-        ("cached", metrics.blocks_cached),
-    ] {
-        out.push_str(&format!(
-            "moqo_blocks_total{{algorithm=\"{family}\"}} {count}\n"
-        ));
-    }
-
-    out.push_str(
-        "# HELP moqo_request_latency_quantile_seconds Log-bucket latency quantiles \
-         (lower bound of the bucket holding the order statistic).\n\
-         # TYPE moqo_request_latency_quantile_seconds gauge\n",
-    );
-    for (q, value) in [
-        ("0.5", metrics.p50),
-        ("0.95", metrics.p95),
-        ("0.99", metrics.p99),
-    ] {
-        out.push_str(&format!(
-            "moqo_request_latency_quantile_seconds{{q=\"{q}\"}} {}\n",
-            value.as_secs_f64()
-        ));
-    }
-
-    push_counter(
-        &mut out,
-        "moqo_cache_hits_total",
-        "Plan-cache direct serves.",
-        metrics.cache.hits,
-    );
-    push_counter(
-        &mut out,
-        "moqo_cache_misses_total",
-        "Plan-cache lookups not served directly.",
-        metrics.cache.misses,
-    );
-    push_counter(
-        &mut out,
-        "moqo_cache_warm_starts_total",
-        "Misses that seeded an RMQ warm start.",
-        metrics.cache.warm_starts,
-    );
-    push_counter(
-        &mut out,
-        "moqo_cache_insertions_total",
-        "Plan-cache entries written.",
-        metrics.cache.insertions,
-    );
-    push_counter(
-        &mut out,
-        "moqo_cache_evictions_total",
-        "Plan-cache LRU evictions.",
-        metrics.cache.evictions,
-    );
-    push_gauge(
-        &mut out,
-        "moqo_cache_entries",
-        "Plan-cache entries currently resident.",
-        metrics.cache.entries as f64,
-    );
-    out.push_str(
-        "# HELP moqo_cache_shard_entries Resident entries per cache shard.\n\
-         # TYPE moqo_cache_shard_entries gauge\n",
-    );
-    for (shard, stats) in metrics.cache.per_shard.iter().enumerate() {
-        out.push_str(&format!(
-            "moqo_cache_shard_entries{{shard=\"{shard}\"}} {}\n",
-            stats.entries
-        ));
-    }
-    out.push_str(
-        "# HELP moqo_cache_shard_evictions_total LRU evictions per cache shard.\n\
-         # TYPE moqo_cache_shard_evictions_total counter\n",
-    );
-    for (shard, stats) in metrics.cache.per_shard.iter().enumerate() {
-        out.push_str(&format!(
-            "moqo_cache_shard_evictions_total{{shard=\"{shard}\"}} {}\n",
-            stats.evictions
-        ));
-    }
-
-    push_gauge(
-        &mut out,
-        "moqo_queue_depth",
-        "Requests currently waiting in the queue.",
-        queued as f64,
-    );
-    push_gauge(
-        &mut out,
-        "moqo_alive_workers",
-        "Workers currently registered as live.",
-        metrics.alive_workers as f64,
-    );
-    push_gauge(
-        &mut out,
-        "moqo_pressure_seconds",
-        "EWMA of recent queue waits (the brownout signal); 0 before any sample.",
-        metrics.pressure.map_or(0.0, |p| p.as_secs_f64()),
-    );
-
-    push_histogram(
-        &mut out,
-        "moqo_request_latency_seconds",
-        "End-to-end latency, submission to response.",
-        latency,
-    );
-    push_histogram(
-        &mut out,
-        "moqo_queue_wait_seconds",
-        "Queue wait, submission to worker pickup.",
-        queue_wait,
-    );
-    push_histogram(
-        &mut out,
-        "moqo_service_time_seconds",
-        "Processing time, worker pickup to response.",
-        service_time,
-    );
-
-    if let Some(stats) = trace {
-        push_counter(
-            &mut out,
-            "moqo_trace_events_total",
-            "Flight-recorder events ever recorded.",
-            stats.events_total,
-        );
-        push_counter(
-            &mut out,
-            "moqo_trace_dropped_events_total",
-            "Ring events overwritten before a snapshot saw them.",
-            stats.dropped_events,
-        );
-        push_gauge(
-            &mut out,
-            "moqo_trace_error_exemplars",
-            "Error-class exemplar traces currently retained.",
-            stats.error_exemplars as f64,
-        );
-        push_counter(
-            &mut out,
-            "moqo_trace_error_exemplars_dropped_total",
-            "Error exemplars evicted from the bounded store.",
-            stats.error_exemplars_dropped,
-        );
+    for series in SERIES.iter().chain(trace_series) {
+        series.render(&mut out, &scrape);
     }
     out
 }
@@ -440,13 +351,13 @@ mod tests {
     use super::*;
     use crate::cache::CacheSnapshot;
     use crate::histogram::LogHistogram;
-    use crate::metrics::ServiceMetrics;
+    use crate::metrics::{ServiceCounter, ServiceMetrics};
     use crate::trace::{EventKind, ExemplarClass};
     use std::time::Duration;
 
     fn sample_metrics() -> MetricsSnapshot {
         let m = ServiceMetrics::default();
-        m.on_submitted();
+        m.bump(ServiceCounter::Submitted);
         m.on_completed(Duration::from_micros(50), Duration::from_millis(2));
         m.snapshot(CacheSnapshot::default(), 3)
     }
@@ -456,11 +367,12 @@ mod tests {
         let hist = LogHistogram::new();
         hist.record(Duration::from_millis(3));
         let snap = hist.snapshot();
+        let mut metrics = sample_metrics();
+        metrics.latency_histogram = snap.clone();
+        metrics.queue_wait_histogram = snap.clone();
+        metrics.service_time_histogram = snap;
         let text = render_prometheus(
-            &sample_metrics(),
-            &snap,
-            &snap,
-            &snap,
+            &metrics,
             7,
             Some(crate::trace::TraceStats {
                 events_total: 11,
@@ -516,14 +428,11 @@ mod tests {
         for us in [5u64, 5, 100, 10_000] {
             hist.record_us(us);
         }
-        let text = render_prometheus(
-            &sample_metrics(),
-            &hist.snapshot(),
-            &LogHistogram::new().snapshot(),
-            &LogHistogram::new().snapshot(),
-            0,
-            None,
-        );
+        let mut metrics = sample_metrics();
+        metrics.latency_histogram = hist.snapshot();
+        metrics.queue_wait_histogram = LogHistogram::new().snapshot();
+        metrics.service_time_histogram = LogHistogram::new().snapshot();
+        let text = render_prometheus(&metrics, 0, None);
         let counts: Vec<u64> = text
             .lines()
             .filter(|l| l.starts_with("moqo_request_latency_seconds_bucket"))

@@ -1,13 +1,9 @@
 //! A lock-free log-bucket latency histogram.
 //!
-//! The seed's `ServiceMetrics` kept every completion latency in a
-//! `Mutex<Vec<u64>>`: memory grew without bound for the life of the
-//! process, and `snapshot()` cloned and sorted the entire completion
-//! history under the lock — an O(n log n) stall that worsened every second
-//! of uptime. This histogram replaces it with a fixed array of atomic
-//! counters: recording is one `fetch_add` on a bucket (wait-free, no lock,
-//! no allocation), memory is O(buckets) forever, and quantile queries walk
-//! the constant-size bucket array.
+//! A fixed array of atomic counters: recording is one `fetch_add` on a
+//! bucket (wait-free, no lock, no allocation), memory is O(buckets)
+//! forever, and quantile queries walk the constant-size bucket array — so
+//! neither memory nor snapshot cost grows with uptime.
 //!
 //! # Bucket scheme and error bound
 //!
@@ -142,6 +138,7 @@ impl LogHistogram {
 }
 
 /// An owned copy of the bucket counters (see [`LogHistogram::snapshot`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     buckets: [u64; BUCKETS],
     sum_us: u64,
@@ -174,9 +171,8 @@ impl HistogramSnapshot {
     }
 
     /// The `p`-quantile (`0.0 ≤ p ≤ 1.0`) as the lower bound of the bucket
-    /// containing the order statistic of rank `round(p · (n − 1))` — the
-    /// same rank convention the seed's exact sorted-vector percentile
-    /// used. Returns 0 µs on an empty snapshot.
+    /// containing the order statistic of rank `round(p · (n − 1))`.
+    /// Returns 0 µs on an empty snapshot.
     ///
     /// Guarantee: `quantile(p) ≤ exact ≤ quantile(p) + width`, where
     /// `width ≤ quantile(p) / 8` (0 below 8 µs) — see the module docs.

@@ -35,7 +35,15 @@
 //!   the ≤12.5% quantile error bound), a per-[`ServiceError`]-variant
 //!   error taxonomy, downgrade counts, per-algorithm block mix, and cache
 //!   counters, all snapshotted on demand at O(buckets) cost. Nothing on
-//!   the submit or completion path acquires a `Mutex`.
+//!   the submit or completion path acquires a `Mutex`. A scalar counter
+//!   is one [`ServiceCounter`] variant (its slot in the counter array)
+//!   plus one row in the exposition's ordered series table, whose getter
+//!   reads the matching [`MetricsSnapshot`] field.
+//! * **Input validation** — [`OptimizationService::submit`] rejects
+//!   malformed input with [`ServiceError::Rejected`] before it takes a
+//!   queue slot: every block must pass
+//!   [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate) against
+//!   the service's catalog, and α must be a finite number ≥ 1.
 //!
 //! * **Self-healing** — a panic inside a job is caught at the worker's
 //!   guard and delivered as [`ServiceError::Internal`] (payload included)
@@ -122,7 +130,7 @@ pub use cache::{CacheKey, CacheLookup, CacheSnapshot, EntryStats, PlanCache, Sha
 pub use export::{render_prometheus, TraceSnapshot};
 pub use fault::{FaultAction, FaultPlan, FaultPlanBuilder};
 pub use histogram::{HistogramSnapshot, LogHistogram, BUCKETS as HISTOGRAM_BUCKETS};
-pub use metrics::{AlgorithmKind, MetricsSnapshot, PressureGauge, ServiceMetrics};
+pub use metrics::{AlgorithmKind, MetricsSnapshot, PressureGauge, ServiceCounter, ServiceMetrics};
 pub use policy::{
     Admission, AlgorithmPolicy, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy,
     LearnedBlockTimes, PolicyContext,

@@ -14,10 +14,11 @@ use std::time::{Duration, Instant};
 use moqo_core::Algorithm;
 
 use crate::cache::CacheSnapshot;
-use crate::histogram::LogHistogram;
+use crate::histogram::{HistogramSnapshot, LogHistogram};
 use crate::request::ServiceError;
 
 /// Which algorithm family served a block (the service's per-algorithm mix).
+/// The declaration order is the wire code packed into trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgorithmKind {
     /// The exact algorithm.
@@ -33,6 +34,17 @@ pub enum AlgorithmKind {
 }
 
 impl AlgorithmKind {
+    /// Every kind, in wire-code order.
+    pub const ALL: [AlgorithmKind; 5] = [
+        AlgorithmKind::Exa,
+        AlgorithmKind::Rta,
+        AlgorithmKind::Ira,
+        AlgorithmKind::Rmq,
+        AlgorithmKind::CacheServe,
+    ];
+
+    const NAMES: [&'static str; 5] = ["exa", "rta", "ira", "rmq", "cached"];
+
     /// Classifies an [`Algorithm`].
     #[must_use]
     pub fn of(algorithm: Algorithm) -> Self {
@@ -44,70 +56,71 @@ impl AlgorithmKind {
         }
     }
 
-    const COUNT: usize = 5;
-
-    fn index(self) -> usize {
-        match self {
-            AlgorithmKind::Exa => 0,
-            AlgorithmKind::Rta => 1,
-            AlgorithmKind::Ira => 2,
-            AlgorithmKind::Rmq => 3,
-            AlgorithmKind::CacheServe => 4,
-        }
-    }
-
     /// Stable wire code, packed into trace events.
     #[must_use]
     pub fn as_u8(self) -> u8 {
-        u8::try_from(self.index()).expect("five kinds fit a byte")
+        self as u8
     }
 
     /// Decodes [`AlgorithmKind::as_u8`]; `None` for garbage.
     #[must_use]
     pub fn from_u8(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => AlgorithmKind::Exa,
-            1 => AlgorithmKind::Rta,
-            2 => AlgorithmKind::Ira,
-            3 => AlgorithmKind::Rmq,
-            4 => AlgorithmKind::CacheServe,
-            _ => return None,
-        })
+        Self::ALL.get(usize::from(code)).copied()
     }
 
     /// Stable lower-case name for export surfaces.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            AlgorithmKind::Exa => "exa",
-            AlgorithmKind::Rta => "rta",
-            AlgorithmKind::Ira => "ira",
-            AlgorithmKind::Rmq => "rmq",
-            AlgorithmKind::CacheServe => "cached",
-        }
+        Self::NAMES[self as usize]
     }
+}
+
+/// The scalar service counters, each one slot of [`ServiceMetrics`]'s
+/// counter array (bumped with [`ServiceMetrics::bump`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServiceCounter {
+    /// [`MetricsSnapshot::submitted`].
+    Submitted,
+    /// [`MetricsSnapshot::completed`].
+    Completed,
+    /// [`MetricsSnapshot::rejected`].
+    Rejected,
+    /// [`MetricsSnapshot::timed_out`].
+    TimedOut,
+    /// [`MetricsSnapshot::failed`].
+    Failed,
+    /// [`MetricsSnapshot::queue_full`].
+    QueueFull,
+    /// [`MetricsSnapshot::shed`].
+    Shed,
+    /// [`MetricsSnapshot::panics_total`].
+    PanicsTotal,
+    /// [`MetricsSnapshot::respawns`].
+    Respawns,
+    /// [`MetricsSnapshot::stalls_detected`].
+    StallsDetected,
+    /// [`MetricsSnapshot::degraded_blocks`].
+    DegradedBlocks,
+    /// [`MetricsSnapshot::downgraded_blocks`].
+    DowngradedBlocks,
+}
+
+impl ServiceCounter {
+    /// Sized by the last variant: a new counter goes after it and takes
+    /// its place here.
+    const COUNT: usize = ServiceCounter::DowngradedBlocks as usize + 1;
 }
 
 /// Live counters; cheap to update from every worker, safe to share via
 /// `Arc`. All recording methods are lock-free.
 pub struct ServiceMetrics {
     started: Instant,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    timed_out: AtomicU64,
-    failed: AtomicU64,
-    queue_full: AtomicU64,
-    shed: AtomicU64,
-    panics_total: AtomicU64,
-    respawns: AtomicU64,
-    stalls_detected: AtomicU64,
-    degraded_blocks: AtomicU64,
-    downgraded_blocks: AtomicU64,
+    /// One slot per [`ServiceCounter`].
+    counters: [AtomicU64; ServiceCounter::COUNT],
     /// EWMA of recent queue waits: the brownout controller's pressure
     /// signal (reads are one relaxed load on the submit fast path).
     pressure: PressureGauge,
-    algo_blocks: [AtomicU64; AlgorithmKind::COUNT],
+    algo_blocks: [AtomicU64; AlgorithmKind::ALL.len()],
     /// Submission → response, the sum of the two series below (recorded on
     /// one clock, the job's submission `Instant`, so the series agree by
     /// construction — no cross-clock `.max` papering needed).
@@ -126,18 +139,7 @@ impl Default for ServiceMetrics {
     fn default() -> Self {
         ServiceMetrics {
             started: Instant::now(),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            queue_full: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            panics_total: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            stalls_detected: AtomicU64::new(0),
-            degraded_blocks: AtomicU64::new(0),
-            downgraded_blocks: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             pressure: PressureGauge::default(),
             algo_blocks: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: LogHistogram::new(),
@@ -150,14 +152,10 @@ impl Default for ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Counts one request accepted into the queue.
-    pub fn on_submitted(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one submission bounced off a full queue.
-    pub fn on_queue_full(&self) {
-        self.queue_full.fetch_add(1, Ordering::Relaxed);
+    /// Counts one event of `counter` (one relaxed `fetch_add`).
+    #[inline]
+    pub fn bump(&self, counter: ServiceCounter) {
+        self.counters[counter as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one failed request under the error taxonomy: admission
@@ -166,37 +164,18 @@ impl ServiceMetrics {
     /// An `Internal` error additionally bumps `panics_total` — every
     /// internal error today is a caught worker panic.
     pub fn on_error(&self, error: &ServiceError) {
-        let counter = match error {
-            ServiceError::Rejected(_) => &self.rejected,
-            ServiceError::DeadlineExceeded => &self.timed_out,
-            ServiceError::Shed => &self.shed,
+        self.bump(match error {
+            ServiceError::Rejected(_) => ServiceCounter::Rejected,
+            ServiceError::DeadlineExceeded => ServiceCounter::TimedOut,
+            ServiceError::Shed => ServiceCounter::Shed,
             ServiceError::Internal { .. } => {
-                self.panics_total.fetch_add(1, Ordering::Relaxed);
-                &self.failed
+                self.bump(ServiceCounter::PanicsTotal);
+                ServiceCounter::Failed
             }
             ServiceError::QueueFull | ServiceError::ShuttingDown | ServiceError::WorkerLost => {
-                &self.failed
+                ServiceCounter::Failed
             }
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one worker respawned by the supervisor (dead worker reaped,
-    /// replacement spawned onto its shard).
-    pub fn on_respawn(&self) {
-        self.respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one wedged worker detected (heartbeat epoch stagnant past
-    /// the stall threshold); a substitute was fielded.
-    pub fn on_stall(&self) {
-        self.stalls_detected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one block browned out under load pressure (forced onto the
-    /// anytime search and/or its sample budget shrunk).
-    pub fn on_degraded_block(&self) {
-        self.degraded_blocks.fetch_add(1, Ordering::Relaxed);
+        });
     }
 
     /// The queue-wait pressure gauge (shared with the brownout admission
@@ -206,31 +185,12 @@ impl ServiceMetrics {
         &self.pressure
     }
 
-    /// Point-in-time copy of the end-to-end latency histogram (for the
-    /// Prometheus cumulative-bucket exposition).
-    #[must_use]
-    pub fn latency_snapshot(&self) -> crate::histogram::HistogramSnapshot {
-        self.latency.snapshot()
-    }
-
-    /// Point-in-time copy of the queue-wait histogram.
-    #[must_use]
-    pub fn queue_wait_snapshot(&self) -> crate::histogram::HistogramSnapshot {
-        self.queue_wait.snapshot()
-    }
-
-    /// Point-in-time copy of the processing-time histogram.
-    #[must_use]
-    pub fn service_time_snapshot(&self) -> crate::histogram::HistogramSnapshot {
-        self.service_time.snapshot()
-    }
-
     /// Counts one optimized (or cache-served) block.
     #[moqo::hot_path]
     pub fn on_block(&self, kind: AlgorithmKind, downgraded: bool) {
-        self.algo_blocks[kind.index()].fetch_add(1, Ordering::Relaxed);
+        self.algo_blocks[kind as usize].fetch_add(1, Ordering::Relaxed);
         if downgraded {
-            self.downgraded_blocks.fetch_add(1, Ordering::Relaxed);
+            self.bump(ServiceCounter::DowngradedBlocks);
         }
     }
 
@@ -240,7 +200,7 @@ impl ServiceMetrics {
     /// cross-clock reconciliation is needed (or performed).
     #[moqo::hot_path]
     pub fn on_completed(&self, queue_wait: Duration, service_time: Duration) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.bump(ServiceCounter::Completed);
         self.queue_wait.record(queue_wait);
         self.service_time.record(service_time);
         self.latency.record(queue_wait + service_time);
@@ -258,15 +218,19 @@ impl ServiceMetrics {
     /// idle uptime.
     #[must_use]
     pub fn snapshot(&self, cache: CacheSnapshot, alive_workers: usize) -> MetricsSnapshot {
-        let latency = self.latency.snapshot();
-        let queue_wait = self.queue_wait.snapshot();
-        let service_time = self.service_time.snapshot();
-        let completed = self.completed.load(Ordering::Relaxed);
+        let latency_histogram = self.latency.snapshot();
+        let queue_wait_histogram = self.queue_wait.snapshot();
+        let service_time_histogram = self.service_time.snapshot();
+        let counters = self.counters.each_ref().map(|c| c.load(Ordering::Relaxed));
+        let count = |counter: ServiceCounter| counters[counter as usize];
+        let completed = count(ServiceCounter::Completed);
+        let [blocks_exa, blocks_rta, blocks_ira, blocks_rmq, blocks_cached] =
+            AlgorithmKind::ALL.map(|kind| self.algo_blocks[kind as usize].load(Ordering::Relaxed));
         let elapsed = self.started.elapsed();
         let now_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         // Guard against back-to-back snapshots: a window of a few
-        // microseconds holding one completion used to report a
-        // million-rps "spike" (or divide by ~0). Windows shorter than
+        // microseconds holding one completion would report a million-rps
+        // "spike" (or divide by ~0). Windows shorter than
         // `MIN_WINDOW_US` are *not closed* — the rate is computed over the
         // still-open window with the denominator clamped to the minimum,
         // and the next snapshot sees the full window. The close itself is
@@ -291,36 +255,39 @@ impl ServiceMetrics {
         };
         MetricsSnapshot {
             uptime: elapsed,
-            submitted: self.submitted.load(Ordering::Relaxed),
+            submitted: count(ServiceCounter::Submitted),
             completed,
-            rejected: self.rejected.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            queue_full: self.queue_full.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            panics_total: self.panics_total.load(Ordering::Relaxed),
-            respawns: self.respawns.load(Ordering::Relaxed),
-            stalls_detected: self.stalls_detected.load(Ordering::Relaxed),
-            degraded_blocks: self.degraded_blocks.load(Ordering::Relaxed),
-            downgraded_blocks: self.downgraded_blocks.load(Ordering::Relaxed),
+            rejected: count(ServiceCounter::Rejected),
+            timed_out: count(ServiceCounter::TimedOut),
+            failed: count(ServiceCounter::Failed),
+            queue_full: count(ServiceCounter::QueueFull),
+            shed: count(ServiceCounter::Shed),
+            panics_total: count(ServiceCounter::PanicsTotal),
+            respawns: count(ServiceCounter::Respawns),
+            stalls_detected: count(ServiceCounter::StallsDetected),
+            degraded_blocks: count(ServiceCounter::DegradedBlocks),
+            downgraded_blocks: count(ServiceCounter::DowngradedBlocks),
             throughput_rps,
-            p50: latency.quantile(0.50),
-            p95: latency.quantile(0.95),
-            p99: latency.quantile(0.99),
-            queue_p50: queue_wait.quantile(0.50),
-            queue_p95: queue_wait.quantile(0.95),
-            queue_p99: queue_wait.quantile(0.99),
-            service_p50: service_time.quantile(0.50),
-            service_p95: service_time.quantile(0.95),
-            service_p99: service_time.quantile(0.99),
-            blocks_exa: self.algo_blocks[0].load(Ordering::Relaxed),
-            blocks_rta: self.algo_blocks[1].load(Ordering::Relaxed),
-            blocks_ira: self.algo_blocks[2].load(Ordering::Relaxed),
-            blocks_rmq: self.algo_blocks[3].load(Ordering::Relaxed),
-            blocks_cached: self.algo_blocks[4].load(Ordering::Relaxed),
+            p50: latency_histogram.quantile(0.50),
+            p95: latency_histogram.quantile(0.95),
+            p99: latency_histogram.quantile(0.99),
+            queue_p50: queue_wait_histogram.quantile(0.50),
+            queue_p95: queue_wait_histogram.quantile(0.95),
+            queue_p99: queue_wait_histogram.quantile(0.99),
+            service_p50: service_time_histogram.quantile(0.50),
+            service_p95: service_time_histogram.quantile(0.95),
+            service_p99: service_time_histogram.quantile(0.99),
+            blocks_exa,
+            blocks_rta,
+            blocks_ira,
+            blocks_rmq,
+            blocks_cached,
             pressure: self.pressure.current(),
             alive_workers,
             cache,
+            latency_histogram,
+            queue_wait_histogram,
+            service_time_histogram,
         }
     }
 }
@@ -339,8 +306,11 @@ pub struct MetricsSnapshot {
     pub submitted: u64,
     /// Requests answered with a plan.
     pub completed: u64,
-    /// Requests rejected by admission control — and only those; deadline
-    /// expiries and internal failures have their own counters below.
+    /// Requests rejected at submission for malformed input (a block that
+    /// fails [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate), an
+    /// α that is not a finite number ≥ 1) or by admission control — and
+    /// only those; deadline expiries and internal failures have their own
+    /// counters below.
     pub rejected: u64,
     /// Requests whose deadline expired before a block could start.
     pub timed_out: u64,
@@ -406,11 +376,16 @@ pub struct MetricsSnapshot {
     pub alive_workers: usize,
     /// Plan-cache counters, including the per-shard view.
     pub cache: CacheSnapshot,
+    /// The end-to-end latency histogram behind `p50`/`p95`/`p99`.
+    pub latency_histogram: HistogramSnapshot,
+    /// The queue-wait histogram behind the `queue_p*` quantiles.
+    pub queue_wait_histogram: HistogramSnapshot,
+    /// The processing-time histogram behind the `service_p*` quantiles.
+    pub service_time_histogram: HistogramSnapshot,
 }
 
 impl MetricsSnapshot {
-    /// Total failed requests across the error taxonomy — what the seed's
-    /// overloaded `rejected` counter used to absorb.
+    /// Total failed requests across the error taxonomy.
     #[must_use]
     pub fn errors_total(&self) -> u64 {
         self.rejected + self.timed_out + self.failed + self.shed
@@ -563,14 +538,51 @@ mod tests {
     #[test]
     fn robustness_counters_accumulate() {
         let m = ServiceMetrics::default();
-        m.on_respawn();
-        m.on_respawn();
-        m.on_stall();
-        m.on_degraded_block();
+        m.bump(ServiceCounter::Respawns);
+        m.bump(ServiceCounter::Respawns);
+        m.bump(ServiceCounter::StallsDetected);
+        m.bump(ServiceCounter::DegradedBlocks);
         let snap = m.snapshot(CacheSnapshot::default(), 0);
         assert_eq!(snap.respawns, 2);
         assert_eq!(snap.stalls_detected, 1);
         assert_eq!(snap.degraded_blocks, 1);
+    }
+
+    #[test]
+    fn each_counter_lands_in_its_own_snapshot_field() {
+        let m = ServiceMetrics::default();
+        for (i, counter) in m.counters.iter().enumerate() {
+            counter.fetch_add(i as u64 + 1, Ordering::Relaxed);
+        }
+        m.bump(ServiceCounter::Respawns);
+        let snap = m.snapshot(CacheSnapshot::default(), 0);
+        let fields = [
+            snap.submitted,
+            snap.completed,
+            snap.rejected,
+            snap.timed_out,
+            snap.failed,
+            snap.queue_full,
+            snap.shed,
+            snap.panics_total,
+            snap.respawns,
+            snap.stalls_detected,
+            snap.degraded_blocks,
+            snap.downgraded_blocks,
+        ];
+        assert_eq!(fields, [1, 2, 3, 4, 5, 6, 7, 8, 10, 10, 11, 12]);
+    }
+
+    #[test]
+    fn algorithm_kind_codes_and_names_are_stable() {
+        let names: Vec<&str> = AlgorithmKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names, ["exa", "rta", "ira", "rmq", "cached"]);
+        for (code, kind) in AlgorithmKind::ALL.into_iter().enumerate() {
+            let code = u8::try_from(code).unwrap();
+            assert_eq!(kind.as_u8(), code);
+            assert_eq!(AlgorithmKind::from_u8(code), Some(kind));
+        }
+        assert_eq!(AlgorithmKind::from_u8(5), None);
     }
 
     #[test]
@@ -660,9 +672,9 @@ mod tests {
         };
         let small = time_snapshot(1_000);
         let large = time_snapshot(200_000);
-        // The seed's sort-under-lock snapshot scaled O(n log n): 200× the
-        // completions cost well over 200× the snapshot. The histogram walk
-        // is O(buckets); allow generous constant-factor noise only.
+        // A sort-under-lock snapshot would scale O(n log n): 200× the
+        // completions would cost well over 200× the snapshot. The histogram
+        // walk is O(buckets); allow generous constant-factor noise only.
         assert!(
             large < small * 20 + Duration::from_millis(2),
             "snapshot() cost grew with request count: {small:?} at 1k vs \

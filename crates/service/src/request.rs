@@ -215,18 +215,21 @@ impl OptimizationResponse {
 /// Why a request produced no plan. Each variant lands in its own metrics
 /// counter (see [`crate::MetricsSnapshot`]): `Rejected` →
 /// `rejected`, `DeadlineExceeded` → `timed_out`, `Shed` → `shed`,
-/// everything else → `failed` — the seed folded all of these into one
-/// overloaded "rejected" number.
+/// everything else → `failed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// The bounded work queue was at capacity (back-pressure).
     QueueFull,
     /// The service is shutting down.
     ShuttingDown,
-    /// Admission control rejected the request (budget too small for every
-    /// admitted algorithm, block too large, …) — either at submission
-    /// (the fast path, before the request occupies a queue slot) or when
-    /// a worker re-checked the per-block budget.
+    /// The request was refused: at submission for malformed input (a block
+    /// that fails [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate)
+    /// against the service's catalog — an unknown table, more than 32
+    /// relations, a self-join edge — or an α that is not a finite number
+    /// ≥ 1), or by admission control (budget too small for every admitted
+    /// algorithm, block too large, …) — either at submission (the fast
+    /// path, before the request occupies a queue slot) or when a worker
+    /// re-checked the per-block budget.
     Rejected(String),
     /// The request's deadline expired before a block could start — all
     /// budget was consumed by queue wait and/or earlier blocks. Distinct

@@ -13,7 +13,7 @@ use moqo_costmodel::CostModelParams;
 use crate::cache::{CacheKey, CacheLookup, CacheSnapshot, EntryStats, PlanCache};
 use crate::export::{render_prometheus, TraceSnapshot};
 use crate::fault::{guarded_catch, FaultAction, FaultPlan};
-use crate::metrics::{AlgorithmKind, MetricsSnapshot, ServiceMetrics};
+use crate::metrics::{AlgorithmKind, MetricsSnapshot, ServiceCounter, ServiceMetrics};
 use crate::policy::{
     Admission, AlgorithmPolicy, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy,
     LearnedBlockTimes, PolicyContext,
@@ -128,6 +128,24 @@ impl ServiceInner {
         self.learned
             .estimate(block_size)
             .unwrap_or_else(|| self.policy.block_estimate(block_size))
+    }
+
+    /// Rejects malformed input before it can reach the optimizer: every
+    /// block must pass [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate)
+    /// against the service's catalog, and α must be a finite number ≥ 1.
+    fn validate(&self, request: &OptimizationRequest) -> Result<(), ServiceError> {
+        let alpha = request.alpha;
+        if !(alpha.is_finite() && alpha >= 1.0) {
+            return Err(ServiceError::Rejected(format!(
+                "alpha {alpha} is not a finite number >= 1"
+            )));
+        }
+        for (i, block) in request.query.blocks.iter().enumerate() {
+            block
+                .validate(&self.catalog)
+                .map_err(|reason| ServiceError::Rejected(format!("block {i}: {reason}")))?;
+        }
+        Ok(())
     }
 
     /// Admission across all blocks of a request against deadline `total`,
@@ -374,6 +392,10 @@ impl OptimizationService {
 
     /// Submits a request; returns immediately with a [`Ticket`].
     ///
+    /// Malformed input — a block that fails
+    /// [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate) against
+    /// the service's catalog, or an α that is not a finite number ≥ 1 — is
+    /// rejected first, so it never reaches the optimizer.
     /// Deadline-carrying requests pass admission *here*, against the
     /// whole-request deadline with optimistic per-block shares: a request
     /// no algorithm could ever serve is rejected before it occupies a
@@ -389,8 +411,8 @@ impl OptimizationService {
     /// # Errors
     ///
     /// [`ServiceError::QueueFull`] under back-pressure,
-    /// [`ServiceError::Rejected`] from the admission fast path,
-    /// [`ServiceError::Shed`] from the brownout valve,
+    /// [`ServiceError::Rejected`] for malformed input or from the admission
+    /// fast path, [`ServiceError::Shed`] from the brownout valve,
     /// [`ServiceError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, request: OptimizationRequest) -> Result<Ticket, ServiceError> {
         self.submit_attempt(request, 0)
@@ -419,13 +441,18 @@ impl OptimizationService {
         if attempt > 0 {
             rt.event(EventKind::RetryAttempt, attempt, 0, 0);
         }
-        if let Some(deadline) = request.deadline {
-            if let Err(error) = self.inner.admit_all_blocks(&request, deadline) {
-                self.inner.metrics.on_error(&error);
-                rt.event(EventKind::Rejected, 0, 0, 0);
-                rt.finish(Err(&error), 0);
-                return Err(error);
-            }
+        let admitted = self
+            .inner
+            .validate(&request)
+            .and_then(|()| match request.deadline {
+                Some(deadline) => self.inner.admit_all_blocks(&request, deadline),
+                None => Ok(()),
+            });
+        if let Err(error) = admitted {
+            self.inner.metrics.on_error(&error);
+            rt.event(EventKind::Rejected, 0, 0, 0);
+            rt.finish(Err(&error), 0);
+            return Err(error);
         }
         // Shedding needs both signals: pressure says waits are long, the
         // queue length says the backlog is real *now*. The length guard
@@ -442,7 +469,7 @@ impl OptimizationService {
         }
         let fault = self.inner.faults.as_ref().and_then(|plan| plan.at(ordinal));
         if fault == Some(FaultAction::QueueFull) {
-            self.inner.metrics.on_queue_full();
+            self.inner.metrics.bump(ServiceCounter::QueueFull);
             let error = ServiceError::QueueFull;
             rt.event(EventKind::QueueFull, 1, 0, 0);
             rt.finish(Err(&error), 0);
@@ -463,11 +490,11 @@ impl OptimizationService {
         };
         match self.inner.queue.try_push(job) {
             Ok(()) => {
-                self.inner.metrics.on_submitted();
+                self.inner.metrics.bump(ServiceCounter::Submitted);
                 Ok(Ticket { receiver: rx })
             }
             Err((PushError::Full, mut job)) => {
-                self.inner.metrics.on_queue_full();
+                self.inner.metrics.bump(ServiceCounter::QueueFull);
                 let error = ServiceError::QueueFull;
                 let mut rt = RequestTrace::resumed(recorder, usize::MAX, ordinal, job.span.take());
                 rt.event(EventKind::QueueFull, 0, 0, 0);
@@ -542,14 +569,7 @@ impl OptimizationService {
     /// in the Prometheus text exposition format.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
-        render_prometheus(
-            &self.metrics(),
-            &self.inner.metrics.latency_snapshot(),
-            &self.inner.metrics.queue_wait_snapshot(),
-            &self.inner.metrics.service_time_snapshot(),
-            self.queued(),
-            self.trace_stats(),
-        )
+        render_prometheus(&self.metrics(), self.queued(), self.trace_stats())
     }
 
     /// Cache-only snapshot.
@@ -662,14 +682,14 @@ fn supervisor_loop(inner: &Arc<ServiceInner>) {
             let shard = match finding {
                 Finding::Dead { shard } => shard,
                 Finding::Stalled { shard } => {
-                    inner.metrics.on_stall();
+                    inner.metrics.bump(ServiceCounter::StallsDetected);
                     if let Some(recorder) = &inner.recorder {
                         recorder.record_system(EventKind::WorkerStalled, shard as u64);
                     }
                     shard
                 }
             };
-            inner.metrics.on_respawn();
+            inner.metrics.bump(ServiceCounter::Respawns);
             if let Some(recorder) = &inner.recorder {
                 recorder.record_system(EventKind::WorkerRespawned, shard as u64);
             }
@@ -923,7 +943,7 @@ fn process(
             _ => (algorithm, downgraded, false),
         };
         if degraded {
-            inner.metrics.on_degraded_block();
+            inner.metrics.bump(ServiceCounter::DegradedBlocks);
         }
 
         let mut optimizer = Optimizer::new(&inner.catalog).with_params(inner.params.clone());

@@ -72,6 +72,9 @@ fn fixed_snapshot() -> MetricsSnapshot {
                 },
             ],
         },
+        latency_histogram: histogram(&[5, 5, 100, 10_000, 250_000]),
+        queue_wait_histogram: histogram(&[0, 7, 1_000]),
+        service_time_histogram: histogram(&[40, 3_500, 2_000_000]),
     }
 }
 
@@ -79,9 +82,6 @@ fn fixed_snapshot() -> MetricsSnapshot {
 fn prometheus_exposition_matches_the_golden_text() {
     let text = render_prometheus(
         &fixed_snapshot(),
-        &histogram(&[5, 5, 100, 10_000, 250_000]),
-        &histogram(&[0, 7, 1_000]),
-        &histogram(&[40, 3_500, 2_000_000]),
         7,
         Some(TraceStats {
             events_total: 201,

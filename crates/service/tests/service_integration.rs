@@ -515,6 +515,40 @@ fn queue_full_rejects_and_counts() {
     assert_eq!(service.metrics().queue_full, full);
 }
 
+/// Malformed input never reaches the optimizer: an out-of-range table
+/// index and a NaN α are each `Rejected` at submission, counted under
+/// `rejected`, and nothing panics.
+#[test]
+fn malformed_requests_are_rejected_at_submit() {
+    let catalog = moqo_tpch::catalog(0.01);
+    let service = OptimizationService::builder(catalog.clone())
+        .workers(1)
+        .build();
+    let mut unknown_table = moqo_tpch::query(&catalog, 3);
+    unknown_table.blocks[0].rels[0].table = moqo_catalog::TableId(10_000);
+    let nan_alpha =
+        OptimizationRequest::new(moqo_tpch::query(&catalog, 3), weighted_pref(), f64::NAN);
+    for (request, expected) in [
+        (
+            OptimizationRequest::new(unknown_table, weighted_pref(), 1.0),
+            "unknown table",
+        ),
+        (nan_alpha, "alpha"),
+    ] {
+        match service.submit(request) {
+            Err(ServiceError::Rejected(reason)) => {
+                assert!(reason.contains(expected), "{reason}");
+            }
+            Err(other) => panic!("expected a rejection, got {other:?}"),
+            Ok(_) => panic!("expected a rejection, got a ticket"),
+        }
+    }
+    let metrics = service.metrics();
+    assert_eq!(metrics.rejected, 2);
+    assert_eq!(metrics.submitted, 0, "rejected before taking a queue slot");
+    assert_eq!(metrics.panics_total, 0);
+}
+
 #[test]
 fn deadline_admission_rejects_unmeetable_requests() {
     let catalog = moqo_tpch::catalog(0.01);
