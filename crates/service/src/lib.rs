@@ -12,8 +12,8 @@
 //! * **Scheduling**: submissions land in a bounded, sharded, *lock-free*
 //!   MPMC queue (back-pressure surfaces as [`ServiceError::QueueFull`],
 //!   never silent buffering) and are executed by a pool of `std::thread`
-//!   workers popping work-stealing style (own shard first). A pluggable
-//!   [`AlgorithmPolicy`] performs deadline-aware admission per block:
+//!   workers popping work-stealing style (own shard first). The
+//!   [`DeadlineAwarePolicy`] performs deadline-aware admission per block:
 //!   prefer the strongest scheme the request asks for, downgrade along
 //!   `EXA → IRA/RTA → RMQ` when block size or remaining budget rules it
 //!   out, reject when even the anytime search cannot start. Hopeless
@@ -43,12 +43,13 @@
 //!   malformed input with [`ServiceError::Rejected`] before it takes a
 //!   queue slot: every block must pass
 //!   [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate) against
-//!   the service's catalog, and α must be a finite number ≥ 1.
+//!   the service's catalog, α must be a finite number ≥ 1, every weight a
+//!   finite number ≥ 0, and every bound ≥ 0 (`+∞` means unbounded).
 //!
 //! * **Self-healing** — a panic inside a job is caught at the worker's
 //!   guard and delivered as [`ServiceError::Internal`] (payload included)
-//!   while the worker keeps serving; a worker that dies anyway (or wedges
-//!   past [`ServiceConfig::stall_after`]) is detected by the supervisor
+//!   while the worker keeps serving; a worker that dies anyway (or whose
+//!   heartbeat stays silent for 5 s) is detected by the supervisor
 //!   thread via per-worker heartbeat epochs and respawned onto its queue
 //!   shard ([`MetricsSnapshot::respawns`], `stalls_detected`).
 //! * **Brownout load shedding** ([`BrownoutConfig`]) — an EWMA
@@ -57,9 +58,8 @@
 //!   pressure-scaled sample budget (stamped `degraded_by_pressure` in the
 //!   block report, so α-accounting stays honest); past the shed threshold,
 //!   submissions are turned away with [`ServiceError::Shed`] before taking
-//!   a queue slot. Both transient errors are retryable through
-//!   [`OptimizationService::submit_with_retry`] (decorrelated-jitter
-//!   backoff, [`RetryPolicy`]).
+//!   a queue slot. The service does not retry; the caller decides whether
+//!   to resubmit.
 //! * **Deterministic chaos** ([`FaultPlan`]) — panics, delays, queue-full
 //!   rejections and worker kills keyed on exact submission ordinals (or
 //!   the `MOQO_SL_FAULTS` env grammar), so fault runs replay byte-stable
@@ -121,7 +121,6 @@ mod metrics;
 mod policy;
 mod queue;
 mod request;
-mod retry;
 mod service;
 mod supervisor;
 mod trace;
@@ -132,16 +131,14 @@ pub use fault::{FaultAction, FaultPlan, FaultPlanBuilder};
 pub use histogram::{HistogramSnapshot, LogHistogram, BUCKETS as HISTOGRAM_BUCKETS};
 pub use metrics::{AlgorithmKind, MetricsSnapshot, PressureGauge, ServiceCounter, ServiceMetrics};
 pub use policy::{
-    Admission, AlgorithmPolicy, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy,
-    LearnedBlockTimes, PolicyContext,
+    Admission, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,
     ServiceError,
 };
-pub use retry::{is_retryable, retry_with, RetryClock, RetryPolicy, SystemClock};
-pub use service::{OptimizationService, ServiceBuilder, ServiceConfig, Ticket};
+pub use service::{OptimizationService, ServiceBuilder, Ticket};
 pub use trace::{
     commutative_checksum, error_code, stream_checksum, EventKind, Exemplar, ExemplarClass,
     TraceConfig, TraceEvent, TraceStats,

@@ -297,7 +297,7 @@ impl ServiceMetrics {
 /// Percentiles are log-bucket quantiles: each reported value is the lower
 /// bound of the histogram bucket containing the exact order statistic, so
 /// it never exceeds the true percentile and undershoots by at most 12.5%
-/// (one bucket; exact below 8 µs) — see [`crate::histogram`].
+/// (one bucket; exact below 8 µs) — see [`LogHistogram`](crate::LogHistogram).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Time since the service started.

@@ -2,7 +2,7 @@
 //!
 //! The anytime follow-up (arXiv:1603.00400) frames optimization under
 //! per-request time budgets; a serving layer turns that framing into an
-//! admission decision. The default policy picks the *preferred* scheme from
+//! admission decision. [`DeadlineAwarePolicy`] picks the *preferred* scheme from
 //! the request (`α = 1` → EXA; bounded → IRA; otherwise RTA), then
 //! downgrades along `EXA → IRA/RTA → RMQ` whenever the block size or the
 //! remaining deadline budget rules a scheme out, and rejects only when even
@@ -55,42 +55,30 @@ impl Admission {
     }
 }
 
-/// Pluggable admission policy. Implementations must be callable from every
-/// worker thread.
-pub trait AlgorithmPolicy: Send + Sync {
-    /// Decides what to run for one block.
-    fn admit(&self, ctx: &PolicyContext) -> Admission;
-
-    /// Relative cost estimate for optimizing one block of `block_size`
-    /// relations — the weight the service uses to split a request's
-    /// deadline across its blocks (proportional shares, so one expensive
-    /// early block cannot starve its successors). Only ratios matter. The
-    /// default mirrors [`DeadlineAwarePolicy`]'s exponential DP model.
-    fn block_estimate(&self, block_size: usize) -> Duration {
-        let factor = 3.5f64
-            .powi(i32::try_from(block_size).unwrap_or(i32::MAX))
-            .min(1e15);
-        Duration::from_micros(2).mul_f64(factor)
-    }
-}
+/// EWMA weight of a new wall-time sample in [`LearnedBlockTimes`].
+const EWMA_SMOOTHING: f64 = 0.2;
 
 /// Lock-free EWMA of measured per-block-size optimization wall times.
 ///
-/// The static `base · growthⁿ` model in [`AlgorithmPolicy::block_estimate`]
-/// describes *some* machine; this table learns the one the service
-/// actually runs on. Workers feed every measured block optimization into
-/// [`LearnedBlockTimes::record`]; the deadline split
-/// (`block_share` in the service) then prefers the learned estimate over
-/// the static model wherever a sample exists. Everything is relaxed
-/// atomics — recording sits on the completion path and must not lock.
-///
-/// `smoothing` is the EWMA weight of a new sample (`0 < s ≤ 1`; the
-/// service default is 0.2). A `smoothing` of 0 disables learning: nothing
-/// records, every estimate falls back to the policy model.
+/// The static `base · growthⁿ` model in
+/// [`DeadlineAwarePolicy::estimated_dp_time`] describes *some* machine;
+/// this table learns the one the service actually runs on. Workers feed
+/// every measured block optimization into [`LearnedBlockTimes::record`];
+/// the deadline split (`block_share` in the service) then prefers the
+/// learned estimate over the static model wherever a sample exists. A new
+/// sample carries EWMA weight 0.2. Everything is relaxed atomics —
+/// recording sits on the completion path and must not lock.
 pub struct LearnedBlockTimes {
     /// Estimated wall micros as `f64` bits per block size; 0 = no sample.
     cells: [AtomicU64; Self::MAX_TRACKED + 1],
-    smoothing: f64,
+}
+
+impl Default for LearnedBlockTimes {
+    fn default() -> Self {
+        LearnedBlockTimes {
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
 }
 
 impl LearnedBlockTimes {
@@ -98,15 +86,6 @@ impl LearnedBlockTimes {
     /// last cell (the policy hands them to RMQ anyway, whose cost is the
     /// sample budget, not the block size).
     pub const MAX_TRACKED: usize = 32;
-
-    /// A table with the given EWMA smoothing factor.
-    #[must_use]
-    pub fn new(smoothing: f64) -> Self {
-        LearnedBlockTimes {
-            cells: std::array::from_fn(|_| AtomicU64::new(0)),
-            smoothing: smoothing.clamp(0.0, 1.0),
-        }
-    }
 
     fn cell(&self, block_size: usize) -> &AtomicU64 {
         &self.cells[block_size.min(Self::MAX_TRACKED)]
@@ -117,9 +96,6 @@ impl LearnedBlockTimes {
     /// race drops one sample of smoothing, never corrupts the estimate).
     #[moqo::hot_path]
     pub fn record(&self, block_size: usize, wall: Duration) {
-        if self.smoothing <= 0.0 {
-            return;
-        }
         let sample_us = wall.as_secs_f64() * 1e6;
         let cell = self.cell(block_size);
         let mut current = cell.load(Ordering::Relaxed);
@@ -128,7 +104,7 @@ impl LearnedBlockTimes {
                 sample_us
             } else {
                 let previous = f64::from_bits(current);
-                self.smoothing * sample_us + (1.0 - self.smoothing) * previous
+                EWMA_SMOOTHING * sample_us + (1.0 - EWMA_SMOOTHING) * previous
             };
             // An estimate of exactly 0.0 bits would read as "no sample";
             // nudge to the smallest positive value instead.
@@ -180,8 +156,8 @@ pub struct BrownoutConfig {
     /// Pressure multiple (EWMA / watermark) at which shedding starts
     /// (default 2.0; degradation covers the band in between).
     pub shed_threshold: f64,
-    /// RMQ sample budget at pressure 1.0 (default 2000, matching
-    /// [`DeadlineAwarePolicy::rmq_samples`]).
+    /// RMQ sample budget at pressure 1.0 (default 2000, matching the
+    /// sample budget of [`DeadlineAwarePolicy`]'s RMQ fallback).
     pub base_samples: u64,
     /// Sample-budget floor under extreme pressure (default 50).
     pub min_samples: u64,
@@ -250,69 +226,53 @@ impl BrownoutConfig {
     }
 }
 
-/// The default policy: size and deadline gates around the preference order
-/// `EXA → IRA/RTA → RMQ`, with a crude-but-tunable exponential model of
-/// dynamic-programming cost.
-#[derive(Debug, Clone)]
-pub struct DeadlineAwarePolicy {
-    /// Largest block the exact algorithm may attempt (default 7: the DP
-    /// table doubles per relation and EXA keeps full Pareto sets).
-    pub exa_max_tables: usize,
-    /// Largest block any DP scheme (RTA/IRA) may attempt (default 10).
-    pub dp_max_tables: usize,
-    /// Sample budget handed to RMQ fallbacks (default 2000).
-    pub rmq_samples: u64,
-    /// RMQ seed; fixed per service so results are reproducible.
-    pub rmq_seed: u64,
-    /// Threads per RMQ run (default 1 — the worker pool is the parallelism).
-    pub rmq_threads: usize,
-    /// Precision the DP falls back to when a request demands exactness on
-    /// a block too large for EXA (default 2.0): RTA/IRA at α = 1 would run
-    /// the *same* full-precision DP as EXA (the internal pruning precision
-    /// `α^(1/n)` degenerates to 1), so a genuine downgrade must relax α.
-    pub relaxed_alpha: f64,
-    /// Requests with less remaining budget than this are rejected outright
-    /// (default 200 µs: below that even RMQ's first sample won't land).
-    pub min_budget: Duration,
-    /// DP cost model `base · growthⁿ` — base term (default 2 µs).
-    pub dp_base: Duration,
-    /// DP cost model growth per relation (default 3.5).
-    pub dp_growth: f64,
-}
+/// Largest block the exact algorithm may attempt: the DP table doubles per
+/// relation and EXA keeps full Pareto sets.
+const EXA_MAX_TABLES: usize = 7;
+/// Largest block any DP scheme (RTA/IRA) may attempt.
+const DP_MAX_TABLES: usize = 10;
+/// Sample budget handed to RMQ fallbacks.
+const RMQ_SAMPLES: u64 = 2000;
+/// RMQ seed; fixed so results are reproducible.
+const RMQ_SEED: u64 = 0x5EED;
+/// Threads per RMQ run: the worker pool is the parallelism.
+const RMQ_THREADS: usize = 1;
+/// Precision the DP falls back to when a request demands exactness on a
+/// block too large for EXA: RTA/IRA at α = 1 would run the *same*
+/// full-precision DP as EXA (the internal pruning precision `α^(1/n)`
+/// degenerates to 1), so a genuine downgrade must relax α.
+const RELAXED_ALPHA: f64 = 2.0;
+/// Requests with less remaining budget than this are rejected outright:
+/// below it even RMQ's first sample won't land.
+const MIN_BUDGET: Duration = Duration::from_micros(200);
+/// DP cost model `base · growthⁿ` — base term.
+const DP_BASE: Duration = Duration::from_micros(2);
+/// DP cost model growth per relation.
+const DP_GROWTH: f64 = 3.5;
 
-impl Default for DeadlineAwarePolicy {
-    fn default() -> Self {
-        DeadlineAwarePolicy {
-            exa_max_tables: 7,
-            dp_max_tables: 10,
-            rmq_samples: 2000,
-            rmq_seed: 0x5EED,
-            rmq_threads: 1,
-            relaxed_alpha: 2.0,
-            min_budget: Duration::from_micros(200),
-            dp_base: Duration::from_micros(2),
-            dp_growth: 3.5,
-        }
-    }
-}
+/// The service's admission policy: size and deadline gates around the
+/// preference order `EXA → IRA/RTA → RMQ`, with a crude exponential model
+/// of dynamic-programming cost.
+#[derive(Debug, Clone, Copy)]
+pub struct DeadlineAwarePolicy;
 
 impl DeadlineAwarePolicy {
     /// Estimated wall time of one DP run over `tables` relations:
-    /// `dp_base · dp_growthⁿ`. Deliberately pessimistic for EXA-sized
-    /// blocks so deadline pressure downgrades early rather than times out.
+    /// `2 µs · 3.5ⁿ`. Deliberately pessimistic for EXA-sized blocks so
+    /// deadline pressure downgrades early rather than times out. It is
+    /// also the weight the service splits a request's deadline by until
+    /// [`LearnedBlockTimes`] holds a measurement for the block size.
     #[must_use]
     pub fn estimated_dp_time(&self, tables: usize) -> Duration {
-        let factor = self
-            .dp_growth
-            .powi(i32::try_from(tables).unwrap_or(i32::MAX));
-        self.dp_base.mul_f64(factor.min(1e15))
+        let factor = DP_GROWTH.powi(i32::try_from(tables).unwrap_or(i32::MAX));
+        DP_BASE.mul_f64(factor.min(1e15))
     }
 
-    fn rmq(&self) -> Algorithm {
+    fn rmq() -> Algorithm {
         Algorithm::Rmq {
-            samples: self.rmq_samples,
-            seed: self.rmq_seed,
-            threads: self.rmq_threads,
+            samples: RMQ_SAMPLES,
+            seed: RMQ_SEED,
+            threads: RMQ_THREADS,
         }
     }
 
@@ -322,16 +282,12 @@ impl DeadlineAwarePolicy {
             Some(rem) => self.estimated_dp_time(ctx.block_size) <= rem,
         }
     }
-}
 
-impl AlgorithmPolicy for DeadlineAwarePolicy {
-    fn block_estimate(&self, block_size: usize) -> Duration {
-        self.estimated_dp_time(block_size)
-    }
-
-    fn admit(&self, ctx: &PolicyContext) -> Admission {
+    /// Decides what to run for one block.
+    #[must_use]
+    pub fn admit(&self, ctx: &PolicyContext) -> Admission {
         if let Some(rem) = ctx.remaining {
-            if rem < self.min_budget {
+            if rem < MIN_BUDGET {
                 return Admission::Reject;
             }
         }
@@ -351,25 +307,25 @@ impl AlgorithmPolicy for DeadlineAwarePolicy {
             Algorithm::Rta { alpha: ctx.alpha }
         };
         // Size + deadline gates, weakest last.
-        let exa_ok = ctx.block_size <= self.exa_max_tables && self.dp_fits(ctx);
-        let dp_ok = ctx.block_size <= self.dp_max_tables && self.dp_fits(ctx);
+        let exa_ok = ctx.block_size <= EXA_MAX_TABLES && self.dp_fits(ctx);
+        let dp_ok = ctx.block_size <= DP_MAX_TABLES && self.dp_fits(ctx);
         match preferred {
             Algorithm::Exhaustive if exa_ok => Admission::Run {
                 algorithm: preferred,
                 downgraded: false,
             },
             // An exactness-demanding request that EXA cannot serve within
-            // limits degrades to the approximate DP at `relaxed_alpha` —
+            // limits degrades to the approximate DP at `RELAXED_ALPHA` —
             // α = 1 would re-run the exact DP under another name (see the
-            // field docs) — or falls through to the anytime search.
+            // constant's docs) — or falls through to the anytime search.
             Algorithm::Exhaustive if dp_ok => Admission::Run {
                 algorithm: if ctx.bounded {
                     Algorithm::Ira {
-                        alpha: self.relaxed_alpha,
+                        alpha: RELAXED_ALPHA,
                     }
                 } else {
                     Algorithm::Rta {
-                        alpha: self.relaxed_alpha,
+                        alpha: RELAXED_ALPHA,
                     }
                 },
                 downgraded: true,
@@ -379,7 +335,7 @@ impl AlgorithmPolicy for DeadlineAwarePolicy {
                 downgraded: false,
             },
             _ => Admission::Run {
-                algorithm: self.rmq(),
+                algorithm: Self::rmq(),
                 downgraded: true,
             },
         }
@@ -407,7 +363,7 @@ mod tests {
 
     #[test]
     fn preference_order_without_pressure() {
-        let p = DeadlineAwarePolicy::default();
+        let p = DeadlineAwarePolicy;
         assert_eq!(
             p.admit(&ctx(4, 1.0, false, None)),
             Admission::Run {
@@ -433,36 +389,38 @@ mod tests {
 
     #[test]
     fn size_gates_downgrade() {
-        let p = DeadlineAwarePolicy::default();
+        let p = DeadlineAwarePolicy;
         // Too big for EXA but fine for the approximate DP: precision is
         // genuinely relaxed (α = 1 would re-run the exact DP).
-        match p.admit(&ctx(9, 1.0, false, None)) {
+        let too_big_for_exa = EXA_MAX_TABLES + 2;
+        assert!(too_big_for_exa <= DP_MAX_TABLES);
+        match p.admit(&ctx(too_big_for_exa, 1.0, false, None)) {
             Admission::Run {
                 algorithm: Algorithm::Rta { alpha },
                 downgraded: true,
-            } => assert_eq!(alpha, p.relaxed_alpha),
+            } => assert_eq!(alpha, RELAXED_ALPHA),
             other => panic!("expected RTA downgrade, got {other:?}"),
         }
-        match p.admit(&ctx(9, 1.0, true, None)) {
+        match p.admit(&ctx(too_big_for_exa, 1.0, true, None)) {
             Admission::Run {
                 algorithm: Algorithm::Ira { alpha },
                 downgraded: true,
-            } => assert_eq!(alpha, p.relaxed_alpha),
+            } => assert_eq!(alpha, RELAXED_ALPHA),
             other => panic!("expected IRA downgrade, got {other:?}"),
         }
         // Too big for any DP.
-        match p.admit(&ctx(16, 1.5, false, None)) {
+        assert_eq!(
+            p.admit(&ctx(DP_MAX_TABLES + 1, 1.5, false, None)),
             Admission::Run {
-                algorithm: Algorithm::Rmq { .. },
-                downgraded: true,
-            } => {}
-            other => panic!("expected RMQ fallback, got {other:?}"),
-        }
+                algorithm: DeadlineAwarePolicy::rmq(),
+                downgraded: true
+            }
+        );
     }
 
     #[test]
     fn deadline_gates_downgrade_and_reject() {
-        let p = DeadlineAwarePolicy::default();
+        let p = DeadlineAwarePolicy;
         // 8 tables ≈ 2 µs · 3.5⁸ ≈ 45 ms estimated; a 1 ms budget forces
         // the anytime search.
         match p.admit(&ctx(8, 1.5, false, Some(Duration::from_millis(1)))) {
@@ -474,22 +432,25 @@ mod tests {
         }
         // Below the minimum budget nothing is admitted.
         assert_eq!(
-            p.admit(&ctx(2, 1.5, false, Some(Duration::from_micros(50)))),
+            p.admit(&ctx(2, 1.5, false, Some(MIN_BUDGET / 4))),
             Admission::Reject
         );
+        // The DP model is 2 µs · 3.5ⁿ.
+        let eight = p.estimated_dp_time(8).as_secs_f64();
+        assert!((eight - 2e-6 * 3.5f64.powi(8)).abs() < 1e-9, "{eight}");
     }
 
     #[test]
     fn learned_times_converge_and_fall_back() {
-        let learned = LearnedBlockTimes::new(0.5);
+        let learned = LearnedBlockTimes::default();
         assert_eq!(learned.estimate(4), None, "no sample yet");
         learned.record(4, Duration::from_micros(100));
         let first = learned.estimate(4).unwrap();
         assert!((first.as_secs_f64() * 1e6 - 100.0).abs() < 1e-6);
-        // EWMA: 0.5 · 300 + 0.5 · 100 = 200.
+        // EWMA: 0.2 · 300 + 0.8 · 100 = 140.
         learned.record(4, Duration::from_micros(300));
         let second = learned.estimate(4).unwrap();
-        assert!((second.as_secs_f64() * 1e6 - 200.0).abs() < 1e-6);
+        assert!((second.as_secs_f64() * 1e6 - 140.0).abs() < 1e-6);
         // Other sizes stay empty; oversized blocks share the last cell.
         assert_eq!(learned.estimate(5), None);
         learned.record(
@@ -497,10 +458,6 @@ mod tests {
             Duration::from_micros(7),
         );
         assert!(learned.estimate(LearnedBlockTimes::MAX_TRACKED).is_some());
-        // Smoothing 0 disables learning entirely.
-        let off = LearnedBlockTimes::new(0.0);
-        off.record(4, Duration::from_micros(100));
-        assert_eq!(off.estimate(4), None);
     }
 
     #[test]
@@ -548,7 +505,7 @@ mod tests {
 
     #[test]
     fn hints_bypass_gates_but_not_admission() {
-        let p = DeadlineAwarePolicy::default();
+        let p = DeadlineAwarePolicy;
         let mut c = ctx(16, 1.0, false, None);
         c.hint = Some(Algorithm::Exhaustive);
         assert_eq!(

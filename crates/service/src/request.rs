@@ -218,15 +218,18 @@ impl OptimizationResponse {
 /// everything else → `failed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The bounded work queue was at capacity (back-pressure).
+    /// The bounded work queue was at capacity (back-pressure). The
+    /// service keeps no retry loop; the caller decides whether and when
+    /// to submit again.
     QueueFull,
     /// The service is shutting down.
     ShuttingDown,
     /// The request was refused: at submission for malformed input (a block
     /// that fails [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate)
     /// against the service's catalog — an unknown table, more than 32
-    /// relations, a self-join edge — or an α that is not a finite number
-    /// ≥ 1), or by admission control (budget too small for every admitted
+    /// relations, a self-join edge — an α that is not a finite number
+    /// ≥ 1, a weight that is not a finite number ≥ 0, or a bound that is
+    /// NaN or negative), or by admission control (budget too small for every admitted
     /// algorithm, block too large, …) — either at submission (the fast
     /// path, before the request occupies a queue slot) or when a worker
     /// re-checked the per-block budget.
@@ -240,8 +243,8 @@ pub enum ServiceError {
     /// request was turned away *before* occupying a queue slot it would
     /// only have timed out in. Distinct from both `Rejected` (a per-request
     /// deadline verdict) and `QueueFull` (hard capacity): shedding is the
-    /// service's own overload valve, and it is retryable — see
-    /// `submit_with_retry`.
+    /// service's own overload valve, and like `QueueFull` it is transient:
+    /// the same request may succeed once the backlog drains.
     Shed,
     /// The worker processing the request panicked; the panic was caught at
     /// the job boundary, the worker survived, and the payload is delivered

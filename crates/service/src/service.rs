@@ -8,72 +8,32 @@ use std::time::{Duration, Instant};
 
 use moqo_catalog::Catalog;
 use moqo_core::{select_best, Algorithm, BlockReport, Optimizer, PruneMode};
+use moqo_cost::Objective;
 use moqo_costmodel::CostModelParams;
 
-use crate::cache::{CacheKey, CacheLookup, CacheSnapshot, EntryStats, PlanCache};
+use crate::cache::{CacheKey, CacheLookup, CacheSnapshot, PlanCache};
 use crate::export::{render_prometheus, TraceSnapshot};
 use crate::fault::{guarded_catch, FaultAction, FaultPlan};
 use crate::metrics::{AlgorithmKind, MetricsSnapshot, ServiceCounter, ServiceMetrics};
 use crate::policy::{
-    Admission, AlgorithmPolicy, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy,
-    LearnedBlockTimes, PolicyContext,
+    Admission, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,
     ServiceError,
 };
-use crate::retry::{retry_with, RetryPolicy, SystemClock};
 use crate::supervisor::{Finding, Supervision, WorkerSlot};
 use crate::trace::{
     error_code, EventKind, FlightRecorder, RequestTrace, SpanCollector, TraceConfig, TraceStats,
 };
 
-/// Tuning knobs of one [`OptimizationService`].
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Worker threads executing optimizations (default 2; pass the core
-    /// count for throughput, 1 for fully deterministic processing order).
-    pub workers: usize,
-    /// Bounded work-queue capacity; submissions beyond it are rejected with
-    /// [`ServiceError::QueueFull`] (default 256).
-    pub queue_capacity: usize,
-    /// Plan-cache capacity in entries (default 1024).
-    pub cache_capacity: usize,
-    /// Plan-cache shard count (default 8).
-    pub cache_shards: usize,
-    /// EWMA smoothing factor for the learned per-block-size wall times
-    /// that refine the deadline split (default 0.2; `0.0` disables
-    /// learning and the split trusts the policy's static model).
-    pub ewma_smoothing: f64,
-    /// How often the supervisor scans worker heartbeats (default 5 ms).
-    pub supervisor_tick: Duration,
-    /// Heartbeat silence after which a running worker counts as wedged and
-    /// is replaced (default 5 s; `ZERO` disables stall detection — dead
-    /// workers are still respawned).
-    pub stall_after: Duration,
-    /// Brownout admission controller (disabled by default — see
-    /// [`BrownoutConfig`]).
-    pub brownout: BrownoutConfig,
-    /// Cost-model parameters shared by every optimization.
-    pub params: CostModelParams,
-}
+/// Plan-cache shard count.
+const CACHE_SHARDS: usize = 8;
 
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            workers: 2,
-            queue_capacity: 256,
-            cache_capacity: 1024,
-            cache_shards: 8,
-            ewma_smoothing: 0.2,
-            supervisor_tick: Duration::from_millis(5),
-            stall_after: Duration::from_secs(5),
-            brownout: BrownoutConfig::default(),
-            params: CostModelParams::default(),
-        }
-    }
-}
+/// Heartbeat silence after which a running worker counts as wedged and is
+/// replaced. Dead workers are respawned regardless.
+const STALL_AFTER: Duration = Duration::from_secs(5);
 
 type Responder = mpsc::Sender<Result<OptimizationResponse, ServiceError>>;
 
@@ -94,11 +54,9 @@ struct Job {
 
 struct ServiceInner {
     catalog: Catalog,
-    params: CostModelParams,
     queue: BoundedQueue<Job>,
     cache: PlanCache,
     metrics: ServiceMetrics,
-    policy: Box<dyn AlgorithmPolicy>,
     /// Measured per-block-size wall times; refines the deadline split.
     learned: LearnedBlockTimes,
     /// Worker registry + supervisor signalling.
@@ -106,7 +64,6 @@ struct ServiceInner {
     /// Brownout admission controller config.
     brownout: BrownoutConfig,
     supervisor_tick: Duration,
-    stall_after: Duration,
     /// Deterministic fault schedule, if chaos is enabled.
     faults: Option<FaultPlan>,
     /// Submission-order counter; assigns fault-plan ordinals.
@@ -127,18 +84,37 @@ impl ServiceInner {
     fn block_time_estimate(&self, block_size: usize) -> Duration {
         self.learned
             .estimate(block_size)
-            .unwrap_or_else(|| self.policy.block_estimate(block_size))
+            .unwrap_or_else(|| DeadlineAwarePolicy.estimated_dp_time(block_size))
     }
 
     /// Rejects malformed input before it can reach the optimizer: every
     /// block must pass [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate)
-    /// against the service's catalog, and α must be a finite number ≥ 1.
+    /// against the service's catalog, α must be a finite number ≥ 1, every
+    /// weight a finite number ≥ 0, and every bound ≥ 0 (`+∞` = unbounded).
+    /// `Weights::set` and `Bounds::set` only debug-assert, and an infinite
+    /// weight times a zero cost makes a weighted cost NaN, which leaves
+    /// `select_best` with no order to pick by.
     fn validate(&self, request: &OptimizationRequest) -> Result<(), ServiceError> {
         let alpha = request.alpha;
         if !(alpha.is_finite() && alpha >= 1.0) {
             return Err(ServiceError::Rejected(format!(
                 "alpha {alpha} is not a finite number >= 1"
             )));
+        }
+        let preference = &request.preference;
+        for objective in Objective::ALL {
+            let weight = preference.weights.get(objective);
+            if !(weight.is_finite() && weight >= 0.0) {
+                return Err(ServiceError::Rejected(format!(
+                    "weight {weight} on {objective} is not a finite number >= 0"
+                )));
+            }
+            let bound = preference.bounds.get(objective);
+            if bound.is_nan() || bound < 0.0 {
+                return Err(ServiceError::Rejected(format!(
+                    "bound {bound} on {objective} is NaN or negative"
+                )));
+            }
         }
         for (i, block) in request.query.blocks.iter().enumerate() {
             block
@@ -166,7 +142,7 @@ impl ServiceInner {
             .collect();
         for (idx, graph) in request.query.blocks.iter().enumerate() {
             let share = block_share(total, &estimates[idx..]);
-            let decision = self.policy.admit(&PolicyContext {
+            let decision = DeadlineAwarePolicy.admit(&PolicyContext {
                 block_size: graph.n_rels(),
                 alpha: request.alpha,
                 bounded: request.is_bounded(),
@@ -220,8 +196,11 @@ impl Ticket {
 /// Builder for [`OptimizationService`].
 pub struct ServiceBuilder {
     catalog: Catalog,
-    config: ServiceConfig,
-    policy: Box<dyn AlgorithmPolicy>,
+    workers: usize,
+    queue_capacity: usize,
+    cache_capacity: usize,
+    supervisor_tick: Duration,
+    brownout: BrownoutConfig,
     faults: Option<FaultPlan>,
     tracing: Option<TraceConfig>,
 }
@@ -232,75 +211,51 @@ impl ServiceBuilder {
     pub fn new(catalog: Catalog) -> Self {
         ServiceBuilder {
             catalog,
-            config: ServiceConfig::default(),
-            policy: Box::new(DeadlineAwarePolicy::default()),
+            workers: 2,
+            queue_capacity: 256,
+            cache_capacity: 1024,
+            supervisor_tick: Duration::from_millis(5),
+            brownout: BrownoutConfig::default(),
             faults: None,
             tracing: None,
         }
     }
 
-    /// Replaces the whole config.
-    #[must_use]
-    pub fn config(mut self, config: ServiceConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the worker count.
+    /// Sets the worker count (default 2; 1 gives a fully deterministic
+    /// processing order).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
+        self.workers = workers;
         self
     }
 
-    /// Sets the queue capacity.
+    /// Sets the queue capacity (default 256); submissions beyond it are
+    /// rejected with [`ServiceError::QueueFull`].
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
+        self.queue_capacity = capacity;
         self
     }
 
-    /// Sets the plan-cache capacity (entries).
+    /// Sets the plan-cache capacity in entries (default 1024).
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.cache_capacity = capacity;
+        self.cache_capacity = capacity;
         self
     }
 
-    /// Replaces the admission policy.
-    #[must_use]
-    pub fn policy(mut self, policy: impl AlgorithmPolicy + 'static) -> Self {
-        self.policy = Box::new(policy);
-        self
-    }
-
-    /// Sets the EWMA smoothing factor for learned block times (`0.0`
-    /// disables learning).
-    #[must_use]
-    pub fn ewma_smoothing(mut self, smoothing: f64) -> Self {
-        self.config.ewma_smoothing = smoothing;
-        self
-    }
-
-    /// Sets the supervisor scan interval.
+    /// Sets how often the supervisor scans worker heartbeats (default
+    /// 5 ms).
     #[must_use]
     pub fn supervisor_tick(mut self, tick: Duration) -> Self {
-        self.config.supervisor_tick = tick;
-        self
-    }
-
-    /// Sets the heartbeat-silence threshold for stall detection (`ZERO`
-    /// disables it).
-    #[must_use]
-    pub fn stall_after(mut self, stall_after: Duration) -> Self {
-        self.config.stall_after = stall_after;
+        self.supervisor_tick = tick;
         self
     }
 
     /// Enables the brownout admission controller.
     #[must_use]
     pub fn brownout(mut self, brownout: BrownoutConfig) -> Self {
-        self.config.brownout = brownout;
+        self.brownout = brownout;
         self
     }
 
@@ -328,21 +283,18 @@ impl ServiceBuilder {
     /// service.
     #[must_use]
     pub fn build(self) -> OptimizationService {
-        let workers = self.config.workers.max(1);
+        let workers = self.workers.max(1);
         let inner = Arc::new(ServiceInner {
             catalog: self.catalog,
-            params: self.config.params.clone(),
             // One queue shard per worker: producers scatter lock-free,
             // each worker drains its own shard and steals from the rest.
-            queue: BoundedQueue::with_shards(self.config.queue_capacity, workers),
-            cache: PlanCache::new(self.config.cache_capacity, self.config.cache_shards),
+            queue: BoundedQueue::with_shards(self.queue_capacity, workers),
+            cache: PlanCache::new(self.cache_capacity, CACHE_SHARDS),
             metrics: ServiceMetrics::default(),
-            policy: self.policy,
-            learned: LearnedBlockTimes::new(self.config.ewma_smoothing),
+            learned: LearnedBlockTimes::default(),
             supervision: Supervision::new(),
-            brownout: self.config.brownout,
-            supervisor_tick: self.config.supervisor_tick.max(Duration::from_micros(100)),
-            stall_after: self.config.stall_after,
+            brownout: self.brownout,
+            supervisor_tick: self.supervisor_tick.max(Duration::from_micros(100)),
             faults: self.faults,
             ordinals: AtomicU64::new(0),
             workers_target: workers,
@@ -394,8 +346,9 @@ impl OptimizationService {
     ///
     /// Malformed input — a block that fails
     /// [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate) against
-    /// the service's catalog, or an α that is not a finite number ≥ 1 — is
-    /// rejected first, so it never reaches the optimizer.
+    /// the service's catalog, an α that is not a finite number ≥ 1, a
+    /// weight that is not a finite number ≥ 0, or a NaN or negative bound
+    /// — is rejected first, so it never reaches the optimizer.
     /// Deadline-carrying requests pass admission *here*, against the
     /// whole-request deadline with optimistic per-block shares: a request
     /// no algorithm could ever serve is rejected before it occupies a
@@ -414,18 +367,8 @@ impl OptimizationService {
     /// [`ServiceError::Rejected`] for malformed input or from the admission
     /// fast path, [`ServiceError::Shed`] from the brownout valve,
     /// [`ServiceError::ShuttingDown`] after shutdown began.
-    pub fn submit(&self, request: OptimizationRequest) -> Result<Ticket, ServiceError> {
-        self.submit_attempt(request, 0)
-    }
-
-    /// The submit path proper; `attempt > 0` marks a retry of the same
-    /// logical request (stamped on the trace as a `retry_attempt` event).
     #[allow(clippy::cast_possible_truncation)]
-    fn submit_attempt(
-        &self,
-        request: OptimizationRequest,
-        attempt: u64,
-    ) -> Result<Ticket, ServiceError> {
+    pub fn submit(&self, request: OptimizationRequest) -> Result<Ticket, ServiceError> {
         // Ordinals are assigned to every submission — including ones that
         // are then rejected or shed — so a fault plan keyed on submission
         // order replays exactly. The ordinal doubles as the trace id.
@@ -438,9 +381,6 @@ impl OptimizationService {
             request.alpha.to_bits(),
             u64::from(request.deadline.is_some()),
         );
-        if attempt > 0 {
-            rt.event(EventKind::RetryAttempt, attempt, 0, 0);
-        }
         let admitted = self
             .inner
             .validate(&request)
@@ -517,28 +457,6 @@ impl OptimizationService {
         self.submit(request)?.wait()
     }
 
-    /// Submits with decorrelated-jitter retries on the transient errors
-    /// ([`ServiceError::QueueFull`], [`ServiceError::Shed`]) under the
-    /// policy's total sleep budget. Non-retryable errors return
-    /// immediately; the request is cloned per attempt.
-    ///
-    /// # Errors
-    ///
-    /// The first non-retryable [`ServiceError`], or the last retryable one
-    /// once the backoff budget is exhausted.
-    pub fn submit_with_retry(
-        &self,
-        request: &OptimizationRequest,
-        policy: &RetryPolicy,
-    ) -> Result<Ticket, ServiceError> {
-        let mut attempt = 0u64;
-        retry_with(policy, &mut SystemClock::new(), || {
-            let result = self.submit_attempt(request.clone(), attempt);
-            attempt += 1;
-            result
-        })
-    }
-
     /// Metrics snapshot including cache counters and the live gauges
     /// (pressure, alive workers, per-shard cache occupancy).
     #[must_use]
@@ -578,12 +496,6 @@ impl OptimizationService {
         self.inner.cache.snapshot()
     }
 
-    /// Usage statistics of one cache entry, if resident.
-    #[must_use]
-    pub fn cache_entry_stats(&self, key: &CacheKey) -> Option<EntryStats> {
-        self.inner.cache.entry_stats(key)
-    }
-
     /// Requests currently waiting in the queue.
     #[must_use]
     pub fn queued(&self) -> usize {
@@ -596,14 +508,6 @@ impl OptimizationService {
     #[must_use]
     pub fn alive_workers(&self) -> usize {
         self.inner.supervision.alive()
-    }
-
-    /// The learned (EWMA) wall-time estimate for `block_size`-relation
-    /// blocks, if any optimization of that size completed yet. `None`
-    /// means the deadline split still trusts the policy's static model.
-    #[must_use]
-    pub fn learned_block_estimate(&self, block_size: usize) -> Option<Duration> {
-        self.inner.learned.estimate(block_size)
     }
 
     /// Stops accepting work, drains the queue, and joins the workers.
@@ -678,7 +582,7 @@ fn supervisor_loop(inner: &Arc<ServiceInner>) {
         }
         let elapsed = last.elapsed();
         last = Instant::now();
-        for finding in inner.supervision.scan(elapsed, inner.stall_after) {
+        for finding in inner.supervision.scan(elapsed, STALL_AFTER) {
             let shard = match finding {
                 Finding::Dead { shard } => shard,
                 Finding::Stalled { shard } => {
@@ -812,8 +716,10 @@ fn process(
     let bounded = request.is_bounded();
     // The pruning mode any fresh optimization of this request runs under;
     // cache entries certified under a different mode are never served.
-    let required_mode =
-        PruneMode::auto(inner.params.enable_sampling, request.preference.objectives);
+    let required_mode = PruneMode::auto(
+        CostModelParams::default().enable_sampling,
+        request.preference.objectives,
+    );
     // Brownout verdict, sampled once per request: under pressure, computed
     // blocks degrade onto the anytime search with a pressure-scaled sample
     // budget. A request already past the shed gate degrades at the floor
@@ -915,7 +821,7 @@ fn process(
             continue;
         }
 
-        let decision = inner.policy.admit(&PolicyContext {
+        let decision = DeadlineAwarePolicy.admit(&PolicyContext {
             block_size: graph.n_rels(),
             alpha: request.alpha,
             bounded,
@@ -946,7 +852,7 @@ fn process(
             inner.metrics.bump(ServiceCounter::DegradedBlocks);
         }
 
-        let mut optimizer = Optimizer::new(&inner.catalog).with_params(inner.params.clone());
+        let mut optimizer = Optimizer::new(&inner.catalog);
         if let Some(rem) = remaining {
             optimizer = optimizer.with_timeout(rem);
         }

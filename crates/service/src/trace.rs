@@ -5,7 +5,7 @@
 //! module records the evidence trail per request as fixed-size
 //! [`TraceEvent`]s — admit/reject, enqueue, pop (queue wait), cache probe
 //! outcome, per-block optimization (algorithm, achieved α, report digest,
-//! `degraded_by_pressure`), retry/panic/kill/shed, completion — into two
+//! `degraded_by_pressure`), panic/kill/shed, completion — into two
 //! sinks at once:
 //!
 //! * **Per-worker ring buffers** ([`EventRing`]): bounded, oldest
@@ -24,10 +24,9 @@
 //!   with its own counter), and completed requests compete for the
 //!   rolling slowest-k by latency.
 //!
-//! Timestamps come from a [`TraceClock`] seam (the same pattern as
-//! [`crate::RetryClock`]): wall microseconds in production, a logical
-//! counter under `MOQO_SL_REPLAY` so replayed trace streams are
-//! byte-deterministic. Checksums ([`TraceEvent::digest`]) exclude every
+//! Timestamps come from a [`TraceClock`] seam: wall microseconds in
+//! production, a logical counter under `MOQO_SL_REPLAY` so replayed trace
+//! streams are byte-deterministic. Checksums ([`TraceEvent::digest`]) exclude every
 //! timing-valued field, and the error-exemplar checksum folds per-trace
 //! hashes commutatively, so it is independent of worker interleaving —
 //! that is what lets CI gate a 4-worker chaos run byte-stable.
@@ -83,9 +82,8 @@ pub enum EventKind {
     /// `arg0` = block count, `arg1` = requested α bits, `arg2` = 1 when a
     /// deadline is attached.
     Submitted = 0,
-    /// This submission is retry attempt `arg0` of an earlier transient
-    /// failure (`submit_with_retry`).
-    RetryAttempt = 1,
+    // Code 1 is unassigned: the codes are on the wire and in every trace
+    // checksum, so the others must not shift.
     /// The admission fast path rejected the request at submission.
     Rejected = 2,
     /// The brownout valve shed the submission before it took a queue slot.
@@ -127,7 +125,7 @@ pub enum EventKind {
     /// fully cache-served.
     Completed = 14,
     /// The supervisor respawned a worker onto shard `arg0`
-    /// (system-scoped: trace id [`SYSTEM_TRACE_ID`]).
+    /// (system-scoped: trace id `u64::MAX`).
     WorkerRespawned = 15,
     /// The supervisor detected a wedged worker on shard `arg0`.
     WorkerStalled = 16,
@@ -139,12 +137,11 @@ impl EventKind {
     pub fn from_u8(value: u8) -> Option<Self> {
         use EventKind::{
             BlockOptimized, CacheProbe, Completed, DeadlineExceeded, Enqueued, Failed, FaultDelay,
-            PanicCaught, Popped, QueueFull, Rejected, RetryAttempt, Shed, Submitted, WorkerKilled,
+            PanicCaught, Popped, QueueFull, Rejected, Shed, Submitted, WorkerKilled,
             WorkerRespawned, WorkerStalled,
         };
         Some(match value {
             0 => Submitted,
-            1 => RetryAttempt,
             2 => Rejected,
             3 => Shed,
             4 => QueueFull,
@@ -169,7 +166,6 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::Submitted => "submitted",
-            EventKind::RetryAttempt => "retry_attempt",
             EventKind::Rejected => "rejected",
             EventKind::Shed => "shed",
             EventKind::QueueFull => "queue_full",
@@ -218,9 +214,9 @@ pub fn error_code(error: &ServiceError) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// The request's trace id — its submission ordinal
-    /// ([`SYSTEM_TRACE_ID`] for supervisor events).
+    /// (`u64::MAX` for supervisor events).
     pub trace_id: u64,
-    /// [`TraceClock`] reading: wall µs since the recorder started, or a
+    /// Trace-clock reading: wall µs since the recorder started, or a
     /// logical tick under replay. Never checksummed.
     pub ts: u64,
     /// What happened.
@@ -281,8 +277,7 @@ impl TraceEvent {
 }
 
 /// The clock trace timestamps are read from — wall microseconds in
-/// production, a logical counter under deterministic replay (the
-/// [`crate::RetryClock`] seam pattern, applied to tracing).
+/// production, a logical counter under deterministic replay.
 #[derive(Debug)]
 pub enum TraceClock {
     /// Microseconds since the recorder started.
@@ -859,6 +854,8 @@ mod tests {
         let mut torn = e.encode();
         torn[2] = 0xFF; // no such kind
         assert_eq!(TraceEvent::decode(&torn), None);
+        // Code 1 is retired and must stay unassigned.
+        assert_eq!(EventKind::from_u8(1), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use moqo_catalog::Catalog;
 use moqo_cost::{Objective, ObjectiveSet, Preference};
 use moqo_service::{
     BrownoutConfig, ExemplarClass, FaultPlan, OptimizationRequest, OptimizationService,
-    RetryPolicy, ServiceError, TraceConfig,
+    ServiceError, TraceConfig,
 };
 
 fn weighted_pref() -> Preference {
@@ -305,14 +305,13 @@ fn brownout_sheds_and_degrades_under_pressure() {
             }
         }
     }
-    // Shed is retryable, and with the backlog drained the valve reopens
-    // (the queue-length guard keeps a stale EWMA from shedding forever):
-    // a retrying submit goes straight through.
-    assert!(moqo_service::is_retryable(&ServiceError::Shed));
-    let retried = service
-        .submit_with_retry(&small_request(&catalog), &RetryPolicy::default())
+    // With the backlog drained the valve reopens (the queue-length guard
+    // keeps a stale EWMA from shedding forever): a plain submit goes
+    // straight through.
+    let resubmitted = service
+        .submit(small_request(&catalog))
         .and_then(moqo_service::Ticket::wait);
-    assert!(retried.is_ok(), "{retried:?}");
+    assert!(resubmitted.is_ok(), "{resubmitted:?}");
 
     // The shed submission never took a queue slot, yet its trace survives
     // as a full exemplar (tail-based retention keeps every error class).

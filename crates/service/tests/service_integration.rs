@@ -528,12 +528,20 @@ fn malformed_requests_are_rejected_at_submit() {
     unknown_table.blocks[0].rels[0].table = moqo_catalog::TableId(10_000);
     let nan_alpha =
         OptimizationRequest::new(moqo_tpch::query(&catalog, 3), weighted_pref(), f64::NAN);
+    // An infinite weight times a zero cost is NaN, which would leave plan
+    // selection without an order.
+    let infinite_weight = OptimizationRequest::new(
+        moqo_tpch::query(&catalog, 3),
+        weighted_pref().weight(Objective::TotalTime, f64::INFINITY),
+        1.0,
+    );
     for (request, expected) in [
         (
             OptimizationRequest::new(unknown_table, weighted_pref(), 1.0),
             "unknown table",
         ),
         (nan_alpha, "alpha"),
+        (infinite_weight, "weight inf"),
     ] {
         match service.submit(request) {
             Err(ServiceError::Rejected(reason)) => {
@@ -544,7 +552,7 @@ fn malformed_requests_are_rejected_at_submit() {
         }
     }
     let metrics = service.metrics();
-    assert_eq!(metrics.rejected, 2);
+    assert_eq!(metrics.rejected, 3);
     assert_eq!(metrics.submitted, 0, "rejected before taking a queue slot");
     assert_eq!(metrics.panics_total, 0);
 }

@@ -1,8 +1,8 @@
 //! Workspace automation tasks. Currently one: the concurrency-hygiene lint
 //! gate (`cargo run -p xtask -- lint`), which enforces the `moqo_sync`
 //! facade and the auditability rules documented in [`lint`]. Exits non-zero
-//! with `file:line` findings when a rule is violated; CI runs it on every
-//! push (see `.github/workflows/`).
+//! with `file:line` findings when a rule is violated or an allowlist entry
+//! waives nothing; CI runs it on every push (see `.github/workflows/`).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -78,14 +78,21 @@ fn run_lint(root_arg: Option<&str>) -> ExitCode {
     for v in &violations {
         eprintln!("{v}");
     }
-    for stale in allow.unused() {
-        eprintln!("warning: unused allowlist entry: {stale}");
+    // A stale entry would silently waive the next finding that happens to
+    // match it, so it fails the gate like a violation.
+    let stale = allow.unused();
+    for entry in &stale {
+        eprintln!("stale allowlist entry (waives nothing; delete it): {entry}");
     }
-    if violations.is_empty() {
+    if violations.is_empty() && stale.is_empty() {
         println!("lint: {scanned} files clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!("lint: {} violation(s) in {scanned} files", violations.len());
+        eprintln!(
+            "lint: {} violation(s) and {} stale allowlist entries in {scanned} files",
+            violations.len(),
+            stale.len()
+        );
         ExitCode::FAILURE
     }
 }

@@ -112,3 +112,28 @@ fn allowlist_waives_a_named_site() {
     assert!(ok, "allowlisted site must pass:\n{text}");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn stale_allowlist_entry_fails_naming_the_entry() {
+    let root = temp_root("stale");
+    write(
+        &root,
+        "crates/app/src/lib.rs",
+        "pub fn f() -> u32 {\n    1\n}\n",
+    );
+    write(
+        &root,
+        "crates/xtask/lint_allow.txt",
+        "wall-clock crates/app/src/gone.rs Instant::now()\n",
+    );
+    let (ok, text) = run_lint(&root);
+    assert!(
+        !ok,
+        "an entry that waives nothing must fail the lint:\n{text}"
+    );
+    assert!(
+        text.contains("stale allowlist entry") && text.contains("crates/app/src/gone.rs"),
+        "output must name the stale entry:\n{text}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
