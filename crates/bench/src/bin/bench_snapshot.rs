@@ -1,7 +1,7 @@
 //! Perf-trajectory snapshot: runs a fixed workload matrix and writes median
 //! wall-times to a JSON file (`BENCH_pr6.json` by default), so successive
 //! PRs can track the optimizer hot paths with one committed artifact per
-//! snapshot instead of scattered criterion reports.
+//! snapshot.
 //!
 //! The matrix covers the three hot paths this repository optimizes:
 //!

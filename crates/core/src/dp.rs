@@ -18,8 +18,7 @@
 //! Postgres path keys relevant here — and pruning happens within a group:
 //! a sorted plan may be arbitrarily worse on every cost objective and still
 //! be the key to a cheaper sort-merge join above, so comparing across orders
-//! would break the principle of optimality. The ablation flag
-//! [`DpConfig::group_by_order`] disables this for measurement.
+//! would break the principle of optimality.
 //!
 //! On deadline expiry the enumeration "finishes quickly by only generating
 //! one plan for all table sets that have not been treated so far" (§5.1):
@@ -43,16 +42,6 @@ pub use crate::pareto::PlanEntry;
 pub struct DpConfig {
     /// Internal pruning precision `α_i` (1.0 = exact algorithm).
     pub alpha_internal: f64,
-    /// Unsound ablation: approximate deletions (see [`PruneStrategy`]).
-    pub approx_deletion: bool,
-    /// Set to `false` to ablate order-aware plan grouping (plans of all
-    /// output orders then compete in a single Pareto set).
-    pub group_by_order: bool,
-    /// Plan-tree shape to enumerate. The paper's Algorithm 1 is the
-    /// left-deep original of Ganguly et al. "slightly extended to generate
-    /// bushy plans in addition to left-deep plans" (§5); bushy is the
-    /// default everywhere.
-    pub tree_shape: TreeShape,
     /// Dominance relation plans are discarded under. The algorithm entry
     /// points select this via [`PruneMode::auto`]; calling
     /// `find_pareto_plans` directly with [`PruneMode::CostOnly`] while
@@ -61,26 +50,12 @@ pub struct DpConfig {
     pub prune_mode: PruneMode,
 }
 
-/// Which join-tree shapes the dynamic programming enumerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TreeShape {
-    /// All bushy trees (the paper's extended Algorithm 1).
-    #[default]
-    Bushy,
-    /// Left-deep trees only: the inner (right) input of every join is a
-    /// base relation (the original Ganguly et al. formulation).
-    LeftDeep,
-}
-
 impl DpConfig {
     /// Exact enumeration (EXA) with cost-only pruning.
     #[must_use]
     pub fn exact() -> Self {
         DpConfig {
             alpha_internal: 1.0,
-            approx_deletion: false,
-            group_by_order: true,
-            tree_shape: TreeShape::Bushy,
             prune_mode: PruneMode::CostOnly,
         }
     }
@@ -224,7 +199,7 @@ impl OrderGroups {
 /// Computes the (approximate) Pareto plan set for the model's query block.
 ///
 /// * `objectives` — the selected objective subset (dominance dimensions).
-/// * `config` — pruning precision and ablation switches.
+/// * `config` — internal pruning precision and prune mode.
 /// * `weights` — used only by the quick-finish path after a timeout, to pick
 ///   the single surviving plan per remaining table set.
 /// * `deadline` — wall-clock budget; see module docs for expiry semantics.
@@ -246,7 +221,6 @@ pub fn find_pareto_plans(
 
     let strategy = PruneStrategy {
         alpha_internal: config.alpha_internal,
-        approx_deletion: config.approx_deletion,
         mode: config.prune_mode,
     };
     let full_mask: RelMask = model.graph.full_mask();
@@ -275,7 +249,6 @@ pub fn find_pareto_plans(
                     &mut arena,
                     &strategy,
                     objectives,
-                    config.group_by_order,
                     &mut stats,
                 );
             }
@@ -291,7 +264,7 @@ pub fn find_pareto_plans(
             stats.timed_out = true;
             break 'outer;
         }
-        let splits = enumerate_splits(model, mask, config.tree_shape);
+        let splits = enumerate_splits(model, mask);
         // Split the borrow: take the target group out of the table, so both
         // sub-plan sides are read in place — no per-split clones of the two
         // entry sets. `mask` is a strict superset of every split side, so
@@ -326,7 +299,6 @@ pub fn find_pareto_plans(
                             &mut arena,
                             &strategy,
                             objectives,
-                            config.group_by_order,
                             &mut stats,
                         );
                     }
@@ -581,26 +553,19 @@ impl JoinKeys {
 
 /// Ordered splits of `mask` into two non-empty disjoint subsets, honouring
 /// the Cartesian-product heuristic: if any split is connected by a join
-/// edge, unconnected splits are dropped. Left-deep enumeration restricts
-/// the inner (right) side to singletons. Streamed — the eager version
+/// edge, unconnected splits are dropped. Streamed — the eager version
 /// allocated two `Vec`s per mask in the DP's hottest outer loop. The
 /// connected-splits-exist decision is made up front from a single edge
 /// scan: `mask` admits a connected split iff some edge lies entirely
-/// within it (either endpoint's singleton split is then connected, and for
-/// left-deep shape the `(mask∖{v}, {v})` split qualifies), so the
+/// within it (either endpoint's singleton split is then connected), so the
 /// heuristic never needs the full split list materialized.
-fn enumerate_splits<'g>(
-    model: &'g CostModel<'_>,
-    mask: RelMask,
-    shape: TreeShape,
-) -> SplitIter<'g> {
+fn enumerate_splits<'g>(model: &'g CostModel<'_>, mask: RelMask) -> SplitIter<'g> {
     debug_assert!(mask.count_ones() >= 2, "splits need at least two relations");
     let connected_only = model.graph.edges.iter().any(|e| e.within(mask));
     SplitIter {
         graph: model.graph,
         mask,
         next_m1: (mask - 1) & mask,
-        shape,
         connected_only,
     }
 }
@@ -611,7 +576,6 @@ struct SplitIter<'g> {
     graph: &'g moqo_catalog::JoinGraph,
     mask: RelMask,
     next_m1: RelMask,
-    shape: TreeShape,
     connected_only: bool,
 }
 
@@ -623,9 +587,6 @@ impl Iterator for SplitIter<'_> {
             let m1 = self.next_m1;
             self.next_m1 = (m1 - 1) & self.mask;
             let m2 = self.mask ^ m1;
-            if self.shape == TreeShape::LeftDeep && m2.count_ones() != 1 {
-                continue;
-            }
             if self.connected_only && !self.graph.connects(m1, m2) {
                 continue;
             }
@@ -667,15 +628,9 @@ fn offer_entry(
     arena: &mut PlanArena,
     strategy: &PruneStrategy,
     objectives: ObjectiveSet,
-    group_by_order: bool,
     stats: &mut DpStats,
 ) {
-    let order_key = if group_by_order {
-        props.order
-    } else {
-        SortOrder::None
-    };
-    let set = groups.groups.entry(order_key).or_default();
+    let set = groups.groups.entry(props.order).or_default();
     if set.would_reject(&cost, &props, strategy, objectives) {
         return;
     }
@@ -695,15 +650,9 @@ fn insert_entry(
     entry: PlanEntry,
     strategy: &PruneStrategy,
     objectives: ObjectiveSet,
-    group_by_order: bool,
     stats: &mut DpStats,
 ) {
-    let order_key = if group_by_order {
-        entry.props.order
-    } else {
-        SortOrder::None
-    };
-    let set = groups.groups.entry(order_key).or_default();
+    let set = groups.groups.entry(entry.props.order).or_default();
     let before = set.len();
     let inserted = set.prune_insert(entry, strategy, objectives);
     let after = set.len();
@@ -740,7 +689,7 @@ fn quick_finish(
         if table[mask as usize].completed {
             continue;
         }
-        let splits = enumerate_splits(model, mask, TreeShape::Bushy);
+        let splits = enumerate_splits(model, mask);
         let mut best: Option<PlanEntry> = None;
         for (m1, m2) in splits {
             let mut cached_best = |m: RelMask| {
@@ -783,7 +732,6 @@ fn quick_finish(
             entry,
             &PruneStrategy::exact().with_mode(prune_mode),
             objectives,
-            true,
             stats,
         );
         groups.completed = true;
@@ -1030,14 +978,14 @@ mod tests {
         let (p, cat, g) = setup3();
         let model = CostModel::new(&p, &cat, &g);
         // Mask {customer, orders} = 0b011: splits (01|10) and (10|01).
-        let splits: Vec<_> = enumerate_splits(&model, 0b011, TreeShape::Bushy).collect();
+        let splits: Vec<_> = enumerate_splits(&model, 0b011).collect();
         assert_eq!(splits.len(), 2);
         assert!(splits.contains(&(0b001, 0b010)));
         assert!(splits.contains(&(0b010, 0b001)));
         // Full mask: customer–lineitem is not an edge, so the connected
         // splits exclude ({customer},{lineitem}) pairs joined directly —
         // but 0b101 vs 0b010 IS connected via both edges.
-        let full_splits: Vec<_> = enumerate_splits(&model, 0b111, TreeShape::Bushy).collect();
+        let full_splits: Vec<_> = enumerate_splits(&model, 0b111).collect();
         assert!(full_splits.contains(&(0b101, 0b010)));
         assert_eq!(full_splits.len(), 6);
     }
@@ -1045,20 +993,18 @@ mod tests {
     /// The streaming split iterator must reproduce the eager seed
     /// implementation — same splits, same order, same Cartesian fallback —
     /// on every mask of connected, partially connected and edge-free
-    /// graphs, for both tree shapes.
+    /// graphs.
     #[test]
     fn streaming_splits_match_eager_reference() {
-        let eager = |model: &CostModel<'_>, mask: RelMask, shape: TreeShape| {
+        let eager = |model: &CostModel<'_>, mask: RelMask| {
             let mut connected = Vec::new();
             let mut all = Vec::new();
             let mut m1 = (mask - 1) & mask;
             while m1 != 0 {
                 let m2 = mask ^ m1;
-                if shape == TreeShape::Bushy || m2.count_ones() == 1 {
-                    all.push((m1, m2));
-                    if model.graph.connects(m1, m2) {
-                        connected.push((m1, m2));
-                    }
+                all.push((m1, m2));
+                if model.graph.connects(m1, m2) {
+                    connected.push((m1, m2));
                 }
                 m1 = (m1 - 1) & mask;
             }
@@ -1092,14 +1038,8 @@ mod tests {
             if mask.count_ones() < 2 {
                 continue;
             }
-            for shape in [TreeShape::Bushy, TreeShape::LeftDeep] {
-                let streamed: Vec<_> = enumerate_splits(&model, mask, shape).collect();
-                assert_eq!(
-                    streamed,
-                    eager(&model, mask, shape),
-                    "mask {mask:b} shape {shape:?}"
-                );
-            }
+            let streamed: Vec<_> = enumerate_splits(&model, mask).collect();
+            assert_eq!(streamed, eager(&model, mask), "mask {mask:b}");
         }
     }
 }

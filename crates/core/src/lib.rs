@@ -50,7 +50,7 @@ mod optimizer;
 mod soqo;
 
 pub use budget::Deadline;
-pub use dp::{find_pareto_plans, DpConfig, DpResult, DpStats, PlanEntry, TreeShape};
+pub use dp::{find_pareto_plans, DpConfig, DpResult, DpStats, PlanEntry};
 pub use exa_rta::{exa, rta, rta_internal_precision};
 pub use ira::{ira, ira_precision_schedule, IraResult};
 pub use metrics::{BlockReport, ConvergencePoint, OptimizationReport};

@@ -10,8 +10,7 @@
 //!   dominates* the new one with internal precision `α_i`; deletions still
 //!   use exact dominance. The paper's §6.2 remark explains that also
 //!   deleting approximately dominated plans would let the stored set drift
-//!   arbitrarily far from the frontier — that unsound variant is available
-//!   behind [`PruneStrategy::approx_deletion`] purely as an ablation.
+//!   arbitrarily far from the frontier.
 //!
 //! Orthogonally to the precision, a [`PruneMode`] selects the dominance
 //! relation: cost-only (the paper's rule) or props-aware, which refuses to
@@ -106,10 +105,6 @@ pub struct PruneStrategy {
     /// Internal approximation precision `α_i ≥ 1`; `1.0` yields the exact
     /// algorithm's pruning.
     pub alpha_internal: f64,
-    /// Unsound ablation: also delete stored plans that the new plan merely
-    /// *approximately* dominates (destroys the near-optimality guarantee,
-    /// §6.2 remark).
-    pub approx_deletion: bool,
     /// Dominance relation plans are discarded under.
     pub mode: PruneMode,
 }
@@ -120,7 +115,6 @@ impl PruneStrategy {
     pub fn exact() -> Self {
         PruneStrategy {
             alpha_internal: 1.0,
-            approx_deletion: false,
             mode: PruneMode::CostOnly,
         }
     }
@@ -132,7 +126,6 @@ impl PruneStrategy {
         debug_assert!(alpha_internal >= 1.0);
         PruneStrategy {
             alpha_internal,
-            approx_deletion: false,
             mode: PruneMode::CostOnly,
         }
     }
@@ -169,8 +162,8 @@ impl PruneStrategy {
         }
     }
 
-    /// Whether a stored plan is deleted by an inserted one (exact dominance
-    /// unless the `approx_deletion` ablation is on).
+    /// Whether a stored plan is deleted by an inserted one: exact
+    /// dominance in both modes, so the stored set never drifts (§6.2).
     #[inline]
     fn deletes(
         &self,
@@ -179,27 +172,13 @@ impl PruneStrategy {
         stored: &PlanEntry,
         objectives: ObjectiveSet,
     ) -> bool {
-        match (self.mode, self.approx_deletion) {
-            (PruneMode::CostOnly, false) => dominates(&inserted.cost, &stored.cost, objectives),
-            (PruneMode::CostOnly, true) => approx_dominates(
-                &inserted.cost,
-                &stored.cost,
-                self.alpha_internal,
-                objectives,
-            ),
-            (PruneMode::PropsAware, false) => dominates_with_props(
+        match self.mode {
+            PruneMode::CostOnly => dominates(&inserted.cost, &stored.cost, objectives),
+            PruneMode::PropsAware => dominates_with_props(
                 &inserted.cost,
                 key,
                 &stored.cost,
                 &props_key(&stored.props),
-                objectives,
-            ),
-            (PruneMode::PropsAware, true) => approx_dominates_with_props(
-                &inserted.cost,
-                key,
-                &stored.cost,
-                &props_key(&stored.props),
-                self.alpha_internal,
                 objectives,
             ),
         }
@@ -552,20 +531,14 @@ impl PlanSet {
         let first = objectives.iter().next();
         let key_of = |e: &PlanEntry| first.map_or(0.0, |o| e.cost.get(o));
         let key = key_of(&entry);
-        let alpha = strategy.alpha_internal;
         let inserted_key = props_key(&entry.props);
 
-        // "Delete dominated plans". Exact dominance unless the unsound
-        // ablation is requested; props-aware mode additionally requires the
-        // new plan to cover the victim's props. A deletable plan needs a
-        // first-objective cost of at least `key` (or `key/α` for the
-        // ablation) in every mode, so only a sorted suffix qualifies;
-        // compact it in place, preserving order.
-        let delete_start = if strategy.approx_deletion {
-            self.entries.partition_point(|e| key_of(e) < key / alpha)
-        } else {
-            self.entries.partition_point(|e| key_of(e) < key)
-        };
+        // "Delete dominated plans" under exact dominance; props-aware mode
+        // additionally requires the new plan to cover the victim's props. A
+        // deletable plan needs a first-objective cost of at least `key` in
+        // every mode, so only a sorted suffix qualifies; compact it in
+        // place, preserving order.
+        let delete_start = self.entries.partition_point(|e| key_of(e) < key);
         let mut kept = delete_start;
         for read in delete_start..self.entries.len() {
             let doomed = strategy.deletes(&entry, &inserted_key, &self.entries[read], objectives);
@@ -921,25 +894,14 @@ impl FrontierIndex {
         let key = first.map_or(0.0, |o| entry.cost.get(o));
         let inserted_key = props_key(&entry.props);
         let t = self.tail_dims;
-        // The same suffix bound the plain path uses — including its exact
-        // floating-point form (`key / α`), so the tested suffix is the
-        // same entry subset.
-        let threshold = if strategy.approx_deletion {
-            key / strategy.alpha_internal
-        } else {
-            key
-        };
         let ins_row = self.tail_row(&entry.cost);
-        let ins32 = &ins_row[..t];
         // The `f32` filter mirrors exact deletion (`ins ≤ stored` per tail
-        // dimension). The approximate-deletion ablation compares against
-        // α-scaled stored costs, which have no stored `f32` image — its
-        // suffix is evaluated by the exact predicate alone.
-        let filtered = !strategy.approx_deletion;
+        // dimension).
+        let ins32 = &ins_row[..t];
 
         let mut victims = std::mem::take(&mut self.victims);
         victims.clear();
-        let start = self.keys.partition_point(|&e| e < threshold);
+        let start = self.keys.partition_point(|&e| e < key);
         if self.use_class_scan() {
             // Deletion mirror of the two-level rejection scan: only
             // classes the inserted plan covers can lose members.
@@ -947,9 +909,9 @@ impl FrontierIndex {
                 if !inserted_key.covers(&class.key) {
                     continue;
                 }
-                let cstart = class.keys.partition_point(|&e| e < threshold);
+                let cstart = class.keys.partition_point(|&e| e < key);
                 for j in cstart..class.slots.len() {
-                    if filtered && !tail_filter_ge(&class.tail[j * t..j * t + t], ins32) {
+                    if !tail_filter_ge(&class.tail[j * t..j * t + t], ins32) {
                         continue;
                     }
                     let slot = class.slots[j];
@@ -965,7 +927,7 @@ impl FrontierIndex {
             }
         } else {
             for r in start..self.order.len() {
-                if filtered && !tail_filter_ge(&self.tail[r * t..r * t + t], ins32) {
+                if !tail_filter_ge(&self.tail[r * t..r * t + t], ins32) {
                     continue;
                 }
                 let slot = self.order[r];
@@ -984,8 +946,8 @@ impl FrontierIndex {
         if deleted > 0 {
             victims.sort_unstable();
             // Order-preserving compaction over the qualifying suffix only:
-            // every victim's first-objective key is at least `threshold`
-            // in every mode, so ranks below `start` cannot be victims.
+            // every victim's first-objective key is at least `key` in every
+            // mode, so ranks below `start` cannot be victims.
             let mut kept = start;
             for r in start..self.order.len() {
                 let slot = self.order[r];
@@ -1138,45 +1100,25 @@ mod tests {
     }
 
     #[test]
-    fn approx_deletion_ablation_can_drift() {
-        // Demonstrates the §6.2 remark: deleting approximately dominated
-        // plans lets the stored set depart more and more from the frontier.
-        // Chain construction: each new point is slightly worse in time
+    fn sound_rta_keeps_every_drift_chain_point_within_alpha() {
+        // The §6.2 drift chain: each new point is slightly worse in time
         // (×1.1 < α) and much better in buffer (÷1.3), so it is NOT rejected
-        // (buffer improves beyond α) but it α-dominates and thus deletes its
-        // predecessor. All chain points are mutually incomparable, hence all
-        // lie on the true frontier; the single survivor ends up more than α
-        // away from the early frontier points.
+        // (buffer improves beyond α) but it α-dominates its predecessor.
+        // All chain points are mutually incomparable, hence all lie on the
+        // true frontier. Deleting approximately dominated plans would keep
+        // only the last one, more than α away from the early points; sound
+        // RTA pruning deletes only exactly dominated plans, so it keeps
+        // every point and stays within α.
         let alpha = 1.2f64;
-        let mut unsound = PlanSet::new();
-        let s = PruneStrategy {
-            alpha_internal: alpha,
-            approx_deletion: true,
-            mode: PruneMode::CostOnly,
-        };
-        let mut all = Vec::new();
-        let (mut t, mut b) = (1.0f64, 1000.0f64);
-        for _ in 0..12 {
-            let e = entry(t, b);
-            all.push(e.cost);
-            unsound.prune_insert(e, &s, objs());
-            t *= 1.1;
-            b /= 1.3;
-        }
-        assert_eq!(unsound.len(), 1, "chain keeps replacing its predecessor");
-        let kept: Vec<CostVector> = unsound.iter().map(|e| e.cost).collect();
-        let factor = moqo_cost::pareto_front::approximation_factor(&kept, &all, objs()).unwrap();
-        assert!(
-            factor > alpha * 1.5,
-            "unsound deletion drifted to factor {factor}, beyond α = {alpha}"
-        );
-        // The sound strategy on the same input keeps every chain point.
         let mut sound = PlanSet::new();
         let ss = PruneStrategy::approximate(alpha);
+        let mut all = Vec::new();
         let (mut t, mut b) = (1.0f64, 1000.0f64);
         let mut kept_count = 0;
         for _ in 0..12 {
-            if sound.prune_insert(entry(t, b), &ss, objs()) {
+            let e = entry(t, b);
+            all.push(e.cost);
+            if sound.prune_insert(e, &ss, objs()) {
                 kept_count += 1;
             }
             t *= 1.1;

@@ -65,6 +65,17 @@ use crate::metrics::ConvergencePoint;
 use crate::pareto::{PlanEntry, PlanSet, PruneMode, PruneStrategy};
 use crate::select::select_best;
 
+/// Number of independent local searches. More walkers cover more basins;
+/// fewer walkers descend deeper per budget.
+const WALKERS: usize = 8;
+/// Per-iteration probability of restarting the walker on a fresh random
+/// join tree (exploration).
+const RESTART_PROBABILITY: f64 = 0.05;
+/// Per-iteration probability of jumping the walker onto the member of its
+/// local front that is best under the walker's own scalarization direction
+/// (exploitation of the elite set).
+const ELITE_PROBABILITY: f64 = 0.1;
+
 /// Configuration of one RMQ run.
 #[derive(Debug, Clone, Copy)]
 pub struct RmqConfig {
@@ -73,19 +84,9 @@ pub struct RmqConfig {
     pub samples: u64,
     /// RNG seed; equal seeds yield bit-identical runs at any thread count.
     pub seed: u64,
-    /// Number of independent local searches. More walkers cover more
-    /// basins; fewer walkers descend deeper per budget.
-    pub walkers: usize,
     /// OS threads to shard the walker population over; `0` uses all
     /// available cores. Never affects the result, only wall-clock time.
     pub threads: usize,
-    /// Per-iteration probability of restarting the walker on a fresh random
-    /// join tree (exploration).
-    pub restart_probability: f64,
-    /// Per-iteration probability of jumping the walker onto the member of
-    /// its local front that is best under the walker's own scalarization
-    /// direction (exploitation of the elite set).
-    pub elite_probability: f64,
     /// Record one [`ConvergencePoint`] every `convergence_stride`
     /// iterations; `0` picks a stride that yields ≈64 points.
     pub convergence_stride: u64,
@@ -96,17 +97,14 @@ pub struct RmqConfig {
 }
 
 impl RmqConfig {
-    /// A configuration with the default walker population and
-    /// exploration/exploitation balance, single-threaded.
+    /// A single-threaded configuration with the default convergence
+    /// trace.
     #[must_use]
     pub fn new(samples: u64, seed: u64) -> Self {
         RmqConfig {
             samples,
             seed,
-            walkers: 8,
             threads: 1,
-            restart_probability: 0.05,
-            elite_probability: 0.1,
             convergence_stride: 0,
             record_fronts: false,
         }
@@ -208,8 +206,7 @@ pub fn rmq_warm(
         PruneStrategy::exact().with_mode(PruneMode::auto(model.params.enable_sampling, objectives));
     let keys = JoinKeys::new(model);
     let scan_opts = ScanOptions::new(model);
-    let n_walkers = config.walkers.max(1);
-    let w64 = n_walkers as u64;
+    let w64 = WALKERS as u64;
     // The snapshot schedule is materialized up front, so cap the trace at
     // MAX_TRACE_POINTS by coarsening the stride: anytime configs pair
     // `samples = u64::MAX` with a wall-clock deadline, and an explicit
@@ -226,7 +223,7 @@ pub fn rmq_warm(
     // must not overflow the per-walker shares).
     let local_count = |g: u64, w: usize| g.saturating_sub(w as u64).div_ceil(w64);
     let trace_points: Vec<u64> = (1..=config.samples / stride).map(|j| j * stride).collect();
-    let walker_inputs: Vec<(u64, u64, Vec<u64>)> = (0..n_walkers)
+    let walker_inputs: Vec<(u64, u64, Vec<u64>)> = (0..WALKERS)
         .map(|w| {
             (
                 local_count(config.samples, w),
@@ -236,14 +233,13 @@ pub fn rmq_warm(
         })
         .collect();
 
-    let threads = effective_threads(config.threads, n_walkers);
+    let threads = effective_threads(config.threads);
     let runs: Vec<WalkerRun> = if threads <= 1 {
         run_walkers(
             model,
             &keys,
             &scan_opts,
             objectives,
-            config,
             0,
             &walker_inputs,
             warm_start,
@@ -251,7 +247,7 @@ pub fn rmq_warm(
         )
     } else {
         let remaining = deadline.remaining();
-        let chunk_size = n_walkers.div_ceil(threads);
+        let chunk_size = WALKERS.div_ceil(threads);
         std::thread::scope(|s| {
             let handles: Vec<_> = walker_inputs
                 .chunks(chunk_size)
@@ -269,7 +265,6 @@ pub fn rmq_warm(
                             keys,
                             scan_opts,
                             objectives,
-                            config,
                             ci * chunk_size,
                             chunk,
                             warm_start,
@@ -411,7 +406,6 @@ fn run_walkers(
     keys: &JoinKeys,
     scan_opts: &ScanOptions,
     objectives: ObjectiveSet,
-    config: &RmqConfig,
     first_index: usize,
     inputs: &[(u64, u64, Vec<u64>)],
     warm_start: &[JoinTree],
@@ -430,7 +424,7 @@ fn run_walkers(
                 Some(&warm_start[index % warm_start.len()])
             };
             WalkerState::new(
-                model, keys, scan_opts, objectives, config, index, *budget, *seed, snaps, warm,
+                model, keys, scan_opts, objectives, index, *budget, *seed, snaps, warm,
             )
         })
         .collect();
@@ -452,7 +446,6 @@ struct WalkerState<'a> {
     keys: &'a JoinKeys,
     scan_opts: &'a ScanOptions,
     objectives: ObjectiveSet,
-    config: &'a RmqConfig,
     budget: u64,
     snapshot_counts: &'a [u64],
     rng: StdRng,
@@ -483,7 +476,6 @@ impl<'a> WalkerState<'a> {
         keys: &'a JoinKeys,
         scan_opts: &'a ScanOptions,
         objectives: ObjectiveSet,
-        config: &'a RmqConfig,
         index: usize,
         budget: u64,
         seed: u64,
@@ -507,7 +499,6 @@ impl<'a> WalkerState<'a> {
             keys,
             scan_opts,
             objectives,
-            config,
             budget,
             snapshot_counts,
             rng,
@@ -590,7 +581,7 @@ impl<'a> WalkerState<'a> {
     /// One iteration: restart, elite jump, or local mutation.
     fn step(&mut self) {
         let draw: f64 = self.rng.gen_range(0.0..1.0);
-        if draw < self.config.restart_probability {
+        if draw < RESTART_PROBABILITY {
             // Exploration: restart this walker on a fresh random tree.
             let (tree, cost, props) = sample_random_tree(
                 self.model,
@@ -602,7 +593,7 @@ impl<'a> WalkerState<'a> {
             .expect("a nested-loop plan always exists");
             self.offer(&tree, cost, props);
             self.state = Component { tree, cost, props };
-        } else if draw < self.config.restart_probability + self.config.elite_probability {
+        } else if draw < RESTART_PROBABILITY + ELITE_PROBABILITY {
             // Exploitation: jump onto the local-front member best under
             // this walker's own scalarization direction.
             let elite = self
@@ -685,13 +676,13 @@ fn walker_seed(master: u64, i: u64) -> u64 {
 
 /// Resolves the thread knob: `0` means all available cores; never more
 /// threads than walkers.
-fn effective_threads(requested: usize, n_walkers: usize) -> usize {
+fn effective_threads(requested: usize) -> usize {
     let t = if requested == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         requested
     };
-    t.clamp(1, n_walkers)
+    t.clamp(1, WALKERS)
 }
 
 fn trace_point(

@@ -4,16 +4,20 @@
 //!
 //! 1. For every insertion order, prune mode (cost-only / props-aware) and
 //!    α ∈ {1, 1.5, 2}, the indexed structures keep exactly the same plans
-//!    (bitwise: cost vectors, props and plan ids) as the plain layout —
-//!    including under the unsound approx-deletion ablation.
+//!    (bitwise: cost vectors, props and plan ids) as the plain layout.
 //! 2. At α = 1 under cost-only pruning the surviving vectors equal the
 //!    oracle Pareto frontier of everything offered, for every structure
 //!    and insertion order; props-aware survivors form a props-antichain.
+//! 3. On 2000-vector streams at 2, 6 and 9 objectives — large enough for
+//!    `Adaptive` to engage the index — every structure keeps the plain
+//!    layout's plans under both prune modes.
 
 use moqo_core::pareto::{FrontierStructure, PlanEntry, PlanSet, PruneMode, PruneStrategy};
 use moqo_cost::{pareto_front, CostVector, Objective, ObjectiveSet};
 use moqo_plan::{PlanId, PlanProps, SortOrder};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn objs3() -> ObjectiveSet {
     ObjectiveSet::from_objectives(&[
@@ -54,21 +58,22 @@ fn run_stream(
     entries: &[PlanEntry],
     structure: FrontierStructure,
     strategy: &PruneStrategy,
+    objectives: ObjectiveSet,
 ) -> PlanSet {
     let mut set = PlanSet::with_structure(structure);
     for e in entries {
-        set.prune_insert(*e, strategy, objs3());
+        set.prune_insert(*e, strategy, objectives);
     }
     set
 }
 
-/// Bit-exact sorted fingerprint of the surviving plans: cost bits over the
-/// active objectives, props identity and plan id. Two sets with equal
+/// Bit-exact sorted fingerprint of the surviving plans: cost bits over all
+/// objectives, props identity and plan id. Two sets with equal
 /// fingerprints hold byte-identical plans (iteration order aside — the
 /// indexed layout iterates in first-objective order, the plain one in
 /// insertion order).
-fn fingerprint(set: &PlanSet) -> Vec<(u64, u64, u64, u64, u32)> {
-    let mut v: Vec<(u64, u64, u64, u64, u32)> = set
+fn fingerprint(set: &PlanSet) -> Vec<(Vec<u64>, u64, u32)> {
+    let mut v: Vec<(Vec<u64>, u64, u32)> = set
         .iter()
         .map(|e| {
             let order_tag = match e.props.order {
@@ -76,9 +81,7 @@ fn fingerprint(set: &PlanSet) -> Vec<(u64, u64, u64, u64, u32)> {
                 SortOrder::Col { rel, col } => 1 + ((rel as u64) << 16 | u64::from(col)),
             };
             (
-                e.cost.get(Objective::TotalTime).to_bits(),
-                e.cost.get(Objective::BufferFootprint).to_bits(),
-                e.cost.get(Objective::IoLoad).to_bits(),
+                e.cost.as_array().iter().map(|c| c.to_bits()).collect(),
                 e.props.rows.to_bits() ^ order_tag.rotate_left(17),
                 e.plan.0,
             )
@@ -141,9 +144,10 @@ proptest! {
             for &mode in &[PruneMode::CostOnly, PruneMode::PropsAware] {
                 let strategy = PruneStrategy::approximate(alpha).with_mode(mode);
                 for stream in [&entries, &permuted] {
-                    let reference = run_stream(stream, FrontierStructure::Plain, &strategy);
+                    let reference =
+                        run_stream(stream, FrontierStructure::Plain, &strategy, objs3());
                     for structure in [FrontierStructure::Indexed, FrontierStructure::Adaptive] {
-                        let got = run_stream(stream, structure, &strategy);
+                        let got = run_stream(stream, structure, &strategy, objs3());
                         prop_assert_eq!(
                             fingerprint(&got),
                             fingerprint(&reference),
@@ -197,30 +201,65 @@ proptest! {
                 FrontierStructure::Indexed,
                 FrontierStructure::Adaptive,
             ] {
-                let set = run_stream(stream, structure, &strategy);
+                let set = run_stream(stream, structure, &strategy, objs3());
                 prop_assert_eq!(surviving_vectors(&set), oracle.clone(), "{:?}", structure);
             }
         }
     }
+}
 
-    /// The approx-deletion ablation (unsound per the §6.2 remark, kept for
-    /// experiments) also routes through the indexed insert path — and must
-    /// likewise be bit-identical to the plain layout.
-    #[test]
-    fn approx_deletion_ablation_matches_plain(
-        points in arb_stream(),
-        alpha in 1.0f64..2.5,
-    ) {
-        let entries = build(&points);
-        for &mode in &[PruneMode::CostOnly, PruneMode::PropsAware] {
-            let strategy = PruneStrategy {
-                alpha_internal: alpha,
-                approx_deletion: true,
-                mode,
-            };
-            let reference = run_stream(&entries, FrontierStructure::Plain, &strategy);
-            let indexed = run_stream(&entries, FrontierStructure::Indexed, &strategy);
-            prop_assert_eq!(fingerprint(&indexed), fingerprint(&reference));
+/// A seeded stream of 2000 uniform cost vectors over the first
+/// `objectives` dimensions, scattered across 8 output cardinalities so
+/// props-aware mode exercises the two-level class sub-fronts.
+fn props_class_stream(objectives: usize) -> Vec<PlanEntry> {
+    let mut rng = StdRng::seed_from_u64(99);
+    (0..2000u32)
+        .map(|i| {
+            let mut a = [0.0; moqo_cost::NUM_OBJECTIVES];
+            for v in a.iter_mut().take(objectives) {
+                *v = rng.gen_range(1.0..1000.0);
+            }
+            let rows = 1.0 + rng.gen_range(0..8u64) as f64;
+            PlanEntry {
+                cost: CostVector::from_array(a),
+                props: PlanProps {
+                    rels: 1,
+                    rows,
+                    width: 1.0,
+                    order: SortOrder::None,
+                    sampling_factor: 1.0,
+                },
+                plan: PlanId(i),
+            }
+        })
+        .collect()
+}
+
+/// The proptests above stay below the size at which `Adaptive` engages
+/// the index; this stream of 2000 vectors over 8 cardinality classes
+/// drives every structure through its indexed paths at 2, 6 and 9
+/// objectives, and all must keep the plain layout's plans.
+#[test]
+fn large_props_class_streams_match_plain_for_every_structure() {
+    for n_objs in [2usize, 6, 9] {
+        let objectives: ObjectiveSet = Objective::ALL.into_iter().take(n_objs).collect();
+        let entries = props_class_stream(n_objs);
+        for mode in [PruneMode::CostOnly, PruneMode::PropsAware] {
+            let strategy = PruneStrategy::exact().with_mode(mode);
+            let reference = fingerprint(&run_stream(
+                &entries,
+                FrontierStructure::Plain,
+                &strategy,
+                objectives,
+            ));
+            for structure in [FrontierStructure::Indexed, FrontierStructure::Adaptive] {
+                let got = run_stream(&entries, structure, &strategy, objectives);
+                assert_eq!(
+                    fingerprint(&got),
+                    reference,
+                    "{n_objs} objectives, mode {mode:?}, structure {structure:?}"
+                );
+            }
         }
     }
 }

@@ -1,17 +1,11 @@
-//! Integration tests for two further formal properties:
-//!
-//! * **Lemma 2's grid invariant**: the RTA never stores two plans whose
-//!   cost vectors map to the same `δ` cell (the discretization argument
-//!   bounding plan-set cardinality by `O((n·log_{α_i} m)^{l−1})`).
-//! * **Tree shapes**: left-deep enumeration (the original Ganguly et al.
-//!   formulation) explores a strict subset of the bushy plan space, so the
-//!   bushy optimum is at least as good.
+//! Integration test for Lemma 2's grid invariant: the RTA never stores two
+//! plans whose cost vectors map to the same `δ` cell (the discretization
+//! argument bounding plan-set cardinality by `O((n·log_{α_i} m)^{l−1})`).
 
 use moqo_catalog::{Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats};
-use moqo_core::{find_pareto_plans, select_best, Deadline, DpConfig, TreeShape};
-use moqo_cost::{grid, Objective, ObjectiveSet, Preference, Weights};
+use moqo_core::{find_pareto_plans, Deadline, DpConfig};
+use moqo_cost::{grid, Objective, ObjectiveSet, Weights};
 use moqo_costmodel::{CostModel, CostModelParams};
-use moqo_plan::PlanNode;
 
 fn setup4() -> (CostModelParams, Catalog, JoinGraph) {
     let params = CostModelParams::default();
@@ -85,94 +79,4 @@ fn rta_never_stores_two_plans_in_the_same_delta_cell() {
             }
         }
     }
-}
-
-#[test]
-fn left_deep_plans_have_base_relation_inners() {
-    let (params, cat, graph) = setup4();
-    let model = CostModel::new(&params, &cat, &graph);
-    let config = DpConfig {
-        tree_shape: TreeShape::LeftDeep,
-        ..DpConfig::exact()
-    };
-    let result = find_pareto_plans(
-        &model,
-        objs(),
-        &config,
-        &Weights::single(Objective::TotalTime),
-        &Deadline::unlimited(),
-    );
-    assert!(!result.final_plans.is_empty());
-    for entry in &result.final_plans {
-        result.arena.visit_postorder(entry.plan, &mut |_, node| {
-            if let PlanNode::Join { right, .. } = node {
-                assert!(
-                    matches!(result.arena.node(right), PlanNode::Scan { .. }),
-                    "left-deep inner inputs must be base-relation scans"
-                );
-            }
-        });
-    }
-}
-
-#[test]
-fn bushy_space_is_at_least_as_good_as_left_deep() {
-    let (params, cat, graph) = setup4();
-    let model = CostModel::new(&params, &cat, &graph);
-    let pref = Preference::over(objs()).weight(Objective::TotalTime, 1.0);
-    let deadline = Deadline::unlimited();
-
-    let bushy = find_pareto_plans(&model, objs(), &DpConfig::exact(), &pref.weights, &deadline);
-    let left_deep = find_pareto_plans(
-        &model,
-        objs(),
-        &DpConfig {
-            tree_shape: TreeShape::LeftDeep,
-            ..DpConfig::exact()
-        },
-        &pref.weights,
-        &deadline,
-    );
-    let best_bushy = select_best(&bushy.final_plans, &pref).unwrap();
-    let best_ld = select_best(&left_deep.final_plans, &pref).unwrap();
-    assert!(
-        pref.weighted_cost(&best_bushy.cost) <= pref.weighted_cost(&best_ld.cost) + 1e-9,
-        "bushy optimum must be at least as good as the left-deep one"
-    );
-    // Left-deep explores strictly fewer plans on a 4-way chain.
-    assert!(left_deep.stats.considered_plans < bushy.stats.considered_plans);
-}
-
-#[test]
-fn left_deep_exa_matches_bushy_on_two_tables() {
-    // With two relations, every bushy tree is left-deep; the two
-    // enumerations must coincide exactly.
-    let params = CostModelParams::default();
-    let mut cat = Catalog::new();
-    cat.add_table(
-        TableStats::new("a", 5_000.0, 100.0).with_column(ColumnStats::new("id", 5_000.0).indexed()),
-    );
-    cat.add_table(
-        TableStats::new("b", 20_000.0, 100.0)
-            .with_column(ColumnStats::new("id", 5_000.0).indexed()),
-    );
-    let graph = JoinGraphBuilder::new(&cat)
-        .rel("a", 1.0)
-        .rel("b", 1.0)
-        .join(("a", "id"), ("b", "id"))
-        .build();
-    let model = CostModel::new(&params, &cat, &graph);
-    let deadline = Deadline::unlimited();
-    let w = Weights::single(Objective::TotalTime);
-    let bushy = find_pareto_plans(&model, objs(), &DpConfig::exact(), &w, &deadline);
-    let ld_cfg = DpConfig {
-        tree_shape: TreeShape::LeftDeep,
-        ..DpConfig::exact()
-    };
-    let left_deep = find_pareto_plans(&model, objs(), &ld_cfg, &w, &deadline);
-    assert_eq!(bushy.final_plans.len(), left_deep.final_plans.len());
-    assert_eq!(
-        bushy.stats.considered_plans,
-        left_deep.stats.considered_plans
-    );
 }

@@ -345,11 +345,7 @@ impl PlanCache {
         #[cfg(debug_assertions)]
         {
             use moqo_core::pareto::{FrontierStructure, PlanSet, PruneStrategy};
-            let strategy = PruneStrategy {
-                alpha_internal: 1.0,
-                approx_deletion: false,
-                mode,
-            };
+            let strategy = PruneStrategy::exact().with_mode(mode);
             let replay = |structure: FrontierStructure| {
                 let mut engine = PlanSet::with_structure(structure);
                 for e in frontier {

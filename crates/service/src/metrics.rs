@@ -392,6 +392,51 @@ impl MetricsSnapshot {
     }
 }
 
+/// A lock-free exponentially weighted moving average of one `f64` signal:
+/// each new sample carries weight 0.2, the first one is taken as is.
+/// Stored as `f64` bits in one atomic word; 0 bits mean "no sample yet".
+#[derive(Debug)]
+pub(crate) struct EwmaCell(AtomicU64);
+
+impl Default for EwmaCell {
+    fn default() -> Self {
+        EwmaCell(AtomicU64::new(0))
+    }
+}
+
+impl EwmaCell {
+    const SMOOTHING: f64 = 0.2;
+
+    /// Folds one sample in (short CAS loop; a lost race drops one sample
+    /// of smoothing, never corrupts the estimate).
+    #[moqo::hot_path]
+    pub(crate) fn record(&self, sample: f64) {
+        let mut current = self.0.load(Ordering::Relaxed);
+        for _ in 0..4 {
+            let updated = if current == 0 {
+                sample
+            } else {
+                Self::SMOOTHING * sample + (1.0 - Self::SMOOTHING) * f64::from_bits(current)
+            };
+            // Exactly-0.0 bits would read as "no sample"; nudge instead.
+            let bits = updated.max(f64::MIN_POSITIVE).to_bits();
+            match self
+                .0
+                .compare_exchange_weak(current, bits, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => return,
+                Err(seen) => current = seen,
+            }
+        }
+    }
+
+    /// The current estimate, `None` before the first sample.
+    pub(crate) fn get(&self) -> Option<f64> {
+        let bits = self.0.load(Ordering::Relaxed);
+        (bits != 0).then(|| f64::from_bits(bits))
+    }
+}
+
 /// A lock-free EWMA of recent queue waits: the load signal the brownout
 /// admission controller reads on every submit (one relaxed load).
 ///
@@ -400,54 +445,25 @@ impl MetricsSnapshot {
 /// against a watermark, so `1.0` means "queue waits sit exactly at the
 /// watermark" and values above it measure how far into brownout the
 /// service is.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PressureGauge {
-    /// EWMA of queue-wait micros as `f64` bits; 0 = no sample yet.
-    ewma_us: AtomicU64,
-}
-
-impl Default for PressureGauge {
-    fn default() -> Self {
-        PressureGauge {
-            ewma_us: AtomicU64::new(0),
-        }
-    }
+    /// EWMA of queue-wait micros.
+    ewma_us: EwmaCell,
 }
 
 impl PressureGauge {
-    const SMOOTHING: f64 = 0.2;
-
-    /// Folds one measured queue wait in (short CAS loop; a lost race
-    /// drops one sample of smoothing, never corrupts the estimate).
+    /// Folds one measured queue wait in (see `EwmaCell::record`).
     #[moqo::hot_path]
     pub fn record(&self, queue_wait: Duration) {
-        let sample_us = queue_wait.as_secs_f64() * 1e6;
-        let mut current = self.ewma_us.load(Ordering::Relaxed);
-        for _ in 0..4 {
-            let updated = if current == 0 {
-                sample_us
-            } else {
-                Self::SMOOTHING * sample_us + (1.0 - Self::SMOOTHING) * f64::from_bits(current)
-            };
-            // Exactly-0.0 bits would read as "no sample"; nudge instead.
-            let bits = updated.max(f64::MIN_POSITIVE).to_bits();
-            match self.ewma_us.compare_exchange_weak(
-                current,
-                bits,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
+        self.ewma_us.record(queue_wait.as_secs_f64() * 1e6);
     }
 
     /// The current queue-wait estimate, `None` before the first sample.
     #[must_use]
     pub fn current(&self) -> Option<Duration> {
-        let bits = self.ewma_us.load(Ordering::Relaxed);
-        (bits != 0).then(|| Duration::from_secs_f64(f64::from_bits(bits) / 1e6))
+        self.ewma_us
+            .get()
+            .map(|us| Duration::from_secs_f64(us / 1e6))
     }
 
     /// Current estimate over `watermark` (`0.0` before any sample; a

@@ -8,10 +8,11 @@
 //! remaining deadline budget rules a scheme out, and rejects only when even
 //! the anytime randomized search cannot start before the deadline.
 
-use moqo_sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use moqo_core::Algorithm;
+
+use crate::metrics::EwmaCell;
 
 /// What the policy sees about one block of a request at scheduling time.
 #[derive(Debug, Clone, Copy)]
@@ -55,9 +56,6 @@ impl Admission {
     }
 }
 
-/// EWMA weight of a new wall-time sample in [`LearnedBlockTimes`].
-const EWMA_SMOOTHING: f64 = 0.2;
-
 /// Lock-free EWMA of measured per-block-size optimization wall times.
 ///
 /// The static `base · growthⁿ` model in
@@ -69,14 +67,14 @@ const EWMA_SMOOTHING: f64 = 0.2;
 /// sample carries EWMA weight 0.2. Everything is relaxed atomics —
 /// recording sits on the completion path and must not lock.
 pub struct LearnedBlockTimes {
-    /// Estimated wall micros as `f64` bits per block size; 0 = no sample.
-    cells: [AtomicU64; Self::MAX_TRACKED + 1],
+    /// Estimated wall micros per block size.
+    cells: [EwmaCell; Self::MAX_TRACKED + 1],
 }
 
 impl Default for LearnedBlockTimes {
     fn default() -> Self {
         LearnedBlockTimes {
-            cells: std::array::from_fn(|_| AtomicU64::new(0)),
+            cells: std::array::from_fn(|_| EwmaCell::default()),
         }
     }
 }
@@ -87,43 +85,23 @@ impl LearnedBlockTimes {
     /// sample budget, not the block size).
     pub const MAX_TRACKED: usize = 32;
 
-    fn cell(&self, block_size: usize) -> &AtomicU64 {
+    fn cell(&self, block_size: usize) -> &EwmaCell {
         &self.cells[block_size.min(Self::MAX_TRACKED)]
     }
 
     /// Folds one measured optimization wall time into the estimate for
-    /// `block_size`-relation blocks. Lock-free (a short CAS loop; a lost
-    /// race drops one sample of smoothing, never corrupts the estimate).
+    /// `block_size`-relation blocks (lock-free, see `EwmaCell::record`).
     #[moqo::hot_path]
     pub fn record(&self, block_size: usize, wall: Duration) {
-        let sample_us = wall.as_secs_f64() * 1e6;
-        let cell = self.cell(block_size);
-        let mut current = cell.load(Ordering::Relaxed);
-        for _ in 0..4 {
-            let updated = if current == 0 {
-                sample_us
-            } else {
-                let previous = f64::from_bits(current);
-                EWMA_SMOOTHING * sample_us + (1.0 - EWMA_SMOOTHING) * previous
-            };
-            // An estimate of exactly 0.0 bits would read as "no sample";
-            // nudge to the smallest positive value instead.
-            let bits = updated.max(f64::MIN_POSITIVE).to_bits();
-            match cell.compare_exchange_weak(current, bits, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
+        self.cell(block_size).record(wall.as_secs_f64() * 1e6);
     }
 
     /// The learned estimate for one block size, if any sample landed yet.
     #[must_use]
     pub fn estimate(&self, block_size: usize) -> Option<Duration> {
-        let bits = self.cell(block_size).load(Ordering::Relaxed);
-        if bits == 0 {
-            return None;
-        }
-        Some(Duration::from_secs_f64(f64::from_bits(bits) / 1e6))
+        self.cell(block_size)
+            .get()
+            .map(|us| Duration::from_secs_f64(us / 1e6))
     }
 }
 

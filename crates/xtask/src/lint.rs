@@ -689,7 +689,7 @@ mod tests {
             rules("crates/core/src/x.rs", src),
             vec![("wall-clock".into(), 1)]
         );
-        assert_eq!(rules("crates/bench/src/bin/probe.rs", src), vec![]);
+        assert_eq!(rules("crates/bench/src/bin/bench_snapshot.rs", src), vec![]);
         assert_eq!(rules("crates/core/tests/x.rs", src), vec![]);
     }
 

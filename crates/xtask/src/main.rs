@@ -58,7 +58,6 @@ fn run_lint(root_arg: Option<&str>) -> ExitCode {
     collect_rs(&root.join("crates"), &root, &mut files);
     collect_rs(&root.join("src"), &root, &mut files);
     collect_rs(&root.join("tests"), &root, &mut files);
-    collect_rs(&root.join("benches"), &root, &mut files);
     files.sort();
 
     let mut violations = Vec::new();

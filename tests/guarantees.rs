@@ -69,7 +69,7 @@ fn ira_is_an_approximation_scheme_for_bounded_moqo() {
                         exact.weighted_cost
                     );
                 } else {
-                    // No feasible plan exists: weighted cost is the criterion.
+                    // No feasible plan exists: weighted cost alone decides.
                     assert!(
                         approx.weighted_cost <= alpha * exact.weighted_cost + 1e-6,
                         "Q{qno} seed {seed} α={alpha} (infeasible case)"

@@ -28,11 +28,7 @@ fn reference_dp(
     objectives: ObjectiveSet,
     alpha_internal: f64,
 ) -> (Vec<CostVector>, u64) {
-    let strategy = PruneStrategy {
-        alpha_internal,
-        approx_deletion: false,
-        mode: moqo::core::PruneMode::CostOnly,
-    };
+    let strategy = PruneStrategy::approximate(alpha_internal);
     let graph = model.graph;
     let n = graph.n_rels();
     let full_mask = graph.full_mask();
