@@ -1,7 +1,7 @@
 //! Perf-trajectory snapshot: runs a fixed workload matrix and writes median
-//! wall-times to a JSON file (`BENCH_pr6.json` by default), so successive
-//! PRs can track the optimizer hot paths with one committed artifact per
-//! snapshot.
+//! wall-times to a JSON file (`target/bench_snapshot.json` by default), so
+//! successive changes can track the optimizer hot paths against a
+//! committed snapshot.
 //!
 //! The matrix covers the three hot paths this repository optimizes:
 //!
@@ -28,7 +28,7 @@
 //! | variable | default | meaning |
 //! |----------|---------|---------|
 //! | `MOQO_SMOKE` | unset | `1`: single rep, budgets ÷10 (CI smoke mode) |
-//! | `MOQO_BENCH_OUT` | `BENCH_pr6.json` | output path |
+//! | `MOQO_BENCH_OUT` | `target/bench_snapshot.json` | output path |
 //! | `MOQO_BENCH_REPS` | 5 | repetitions per cell (median is reported) |
 
 use std::time::Instant;
@@ -100,7 +100,6 @@ fn main() {
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or(if smoke { 1 } else { 5 });
     let budget_div: u64 = if smoke { 10 } else { 1 };
-    let out_path = std::env::var("MOQO_BENCH_OUT").unwrap_or_else(|_| "BENCH_pr6.json".to_owned());
 
     let preference = Preference::over(ObjectiveSet::empty())
         .weight(Objective::TotalTime, 1.0)
@@ -284,6 +283,6 @@ fn main() {
         ("reps", reps.to_string()),
     ];
     let json = snapshot::write(&header, &cells);
-    std::fs::write(&out_path, json).expect("snapshot file must be writable");
+    let out_path = snapshot::save("bench_snapshot.json", &json);
     println!("\nwrote {} cells to {out_path}", cells.len());
 }

@@ -91,6 +91,23 @@ pub fn write(header: &[(&str, String)], cells: &[Cell]) -> String {
     json
 }
 
+/// Writes a rendered snapshot to `MOQO_BENCH_OUT`, or to
+/// `target/<default_name>` (gitignored build output) when that is unset,
+/// creating the parent directory; returns the path written.
+///
+/// # Panics
+///
+/// If the file cannot be written.
+#[must_use]
+pub fn save(default_name: &str, json: &str) -> String {
+    let path = std::env::var("MOQO_BENCH_OUT").unwrap_or_else(|_| format!("target/{default_name}"));
+    if let Some(parent) = std::path::Path::new(&path).parent() {
+        std::fs::create_dir_all(parent).expect("snapshot directory must be creatable");
+    }
+    std::fs::write(&path, json).expect("snapshot file must be writable");
+    path
+}
+
 /// Parses the `"results"` array of a snapshot document.
 ///
 /// # Errors

@@ -56,13 +56,6 @@ pub struct BlockReport {
     /// while sampling leaks cardinality past the cost vector covers less
     /// than its α claims.
     pub prune_mode: PruneMode,
-    /// Whether a serving layer degraded this block under load pressure
-    /// (brownout: the admission controller forced the anytime search
-    /// and/or shrank its sample budget instead of running the scheme the
-    /// request preferred). The optimizer itself never sets this; the
-    /// service stamps it so α-accounting downstream of the report stays
-    /// honest about *why* the guarantee is weaker than requested.
-    pub degraded_by_pressure: bool,
 }
 
 impl BlockReport {
@@ -94,7 +87,9 @@ impl BlockReport {
             PruneMode::CostOnly => 0,
             PruneMode::PropsAware => 1,
         });
-        fold(u64::from(self.degraded_by_pressure));
+        // The slot of a since-deleted boolean field stays folded as a
+        // constant 0, so digests recorded before the deletion still match.
+        fold(0);
         acc
     }
 
@@ -119,7 +114,6 @@ impl BlockReport {
             iterations,
             alpha_final: alpha,
             prune_mode,
-            degraded_by_pressure: false,
         }
     }
 }
@@ -193,7 +187,6 @@ mod tests {
             iterations: iters,
             alpha_final: 1.0,
             prune_mode: PruneMode::CostOnly,
-            degraded_by_pressure: false,
         }
     }
 
@@ -223,11 +216,6 @@ mod tests {
             ..a.clone()
         };
         assert_ne!(a.trace_digest(), different.trace_digest());
-        let degraded = BlockReport {
-            degraded_by_pressure: true,
-            ..a
-        };
-        assert_ne!(a.trace_digest(), degraded.trace_digest());
     }
 
     #[test]

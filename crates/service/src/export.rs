@@ -29,7 +29,7 @@ pub struct TraceSnapshot {
     /// Ring events overwritten before this snapshot (best-effort stream
     /// only — exemplar retention never loses error-class traces).
     pub dropped_events: u64,
-    /// Full traces of every errored / shed / panicked / killed request
+    /// Full traces of every errored / panicked / killed request
     /// still in the bounded store, oldest first.
     pub error_exemplars: Vec<Exemplar>,
     /// Error exemplars evicted (oldest first) after the store filled.
@@ -195,11 +195,9 @@ const SERIES: &[Series] = &[
     Series("moqo_timed_out_total", "Requests whose deadline expired mid-flight.", Counter(|s| s.timed_out)),
     Series("moqo_failed_total", "Requests lost to internal errors.", Counter(|s| s.failed)),
     Series("moqo_queue_full_total", "Submissions bounced off a full queue.", Counter(|s| s.queue_full)),
-    Series("moqo_shed_total", "Submissions shed by the brownout controller.", Counter(|s| s.shed)),
     Series("moqo_panics_total", "Worker panics caught at the job boundary.", Counter(|s| s.panics_total)),
     Series("moqo_respawns_total", "Workers respawned by the supervisor.", Counter(|s| s.respawns)),
     Series("moqo_stalls_detected_total", "Wedged workers detected and replaced.", Counter(|s| s.stalls_detected)),
-    Series("moqo_degraded_blocks_total", "Blocks browned out under load pressure.", Counter(|s| s.degraded_blocks)),
     Series("moqo_downgraded_blocks_total", "Blocks that ran a weaker algorithm than preferred.", Counter(|s| s.downgraded_blocks)),
     Series("moqo_throughput_rps", "Completed requests per second over the current window.", Gauge(|s| s.throughput_rps)),
     Series("moqo_blocks_total", "Blocks served, by algorithm family.", LabelledCounter("algorithm", blocks_by_algorithm)),
@@ -218,11 +216,6 @@ const SERIES: &[Series] = &[
     Series("moqo_cache_shard_evictions_total", "LRU evictions per cache shard.", LabelledCounter("shard", shard_evictions)),
     Series("moqo_queue_depth", "Requests currently waiting in the queue.", Gauge(|s| s.queued as f64)),
     Series("moqo_alive_workers", "Workers currently registered as live.", Gauge(|s| s.alive_workers as f64)),
-    Series(
-        "moqo_pressure_seconds",
-        "EWMA of recent queue waits (the brownout signal); 0 before any sample.",
-        Gauge(|s| s.pressure.map_or(0.0, |p| p.as_secs_f64())),
-    ),
     Series("moqo_request_latency_seconds", "End-to-end latency, submission to response.", Histogram(|s| &s.latency_histogram)),
     Series("moqo_queue_wait_seconds", "Queue wait, submission to worker pickup.", Histogram(|s| &s.queue_wait_histogram)),
     Series("moqo_service_time_seconds", "Processing time, worker pickup to response.", Histogram(|s| &s.service_time_histogram)),
@@ -389,11 +382,9 @@ mod tests {
             "moqo_timed_out_total",
             "moqo_failed_total",
             "moqo_queue_full_total",
-            "moqo_shed_total",
             "moqo_panics_total",
             "moqo_respawns_total",
             "moqo_stalls_detected_total",
-            "moqo_degraded_blocks_total",
             "moqo_downgraded_blocks_total",
             "moqo_throughput_rps",
             "moqo_blocks_total{algorithm=\"exa\"}",
@@ -407,7 +398,6 @@ mod tests {
             "moqo_cache_entries",
             "moqo_queue_depth 7",
             "moqo_alive_workers 3",
-            "moqo_pressure_seconds",
             "moqo_request_latency_seconds_bucket",
             "moqo_request_latency_seconds_sum",
             "moqo_request_latency_seconds_count 1",

@@ -6,7 +6,7 @@
 //! draw — a chaos run is exactly replayable: the same trace plus the same
 //! plan produces the same panics, the same worker deaths and the same
 //! rejections, which is what lets CI gate the robustness counters
-//! (`panics_total`, `respawns`, `shed`, `failed`) as byte-stable
+//! (`panics_total`, `respawns`, `failed`) as byte-stable
 //! checksums.
 //!
 //! Plans come from the builder or from the `MOQO_SL_FAULTS` environment

@@ -16,9 +16,11 @@
 //!   [`DeadlineAwarePolicy`] performs deadline-aware admission per block:
 //!   prefer the strongest scheme the request asks for, downgrade along
 //!   `EXA → IRA/RTA → RMQ` when block size or remaining budget rules it
-//!   out, reject when even the anytime search cannot start. Hopeless
-//!   deadlines are rejected at *submission* (before occupying a queue
-//!   slot), and the deadline split across blocks is weighted by a
+//!   out, reject when even the anytime search cannot start. An explicit
+//!   algorithm hint skips the preference order but not the minimum budget,
+//!   and an EXA, RTA or IRA hint not its size gate. Hopeless deadlines and
+//!   oversized hints are rejected at *submission* (before occupying a
+//!   queue slot), and the deadline split across blocks is weighted by a
 //!   lock-free EWMA of measured per-block-size wall times
 //!   ([`LearnedBlockTimes`]) once samples exist.
 //! * **The α-aware plan cache** ([`PlanCache`]): blocks are keyed by
@@ -52,14 +54,11 @@
 //!   heartbeat stays silent for 5 s) is detected by the supervisor
 //!   thread via per-worker heartbeat epochs and respawned onto its queue
 //!   shard ([`MetricsSnapshot::respawns`], `stalls_detected`).
-//! * **Brownout load shedding** ([`BrownoutConfig`]) — an EWMA
-//!   [`PressureGauge`] over measured queue waits drives graceful
-//!   degradation: above the watermark, blocks run the anytime search at a
-//!   pressure-scaled sample budget (stamped `degraded_by_pressure` in the
-//!   block report, so α-accounting stays honest); past the shed threshold,
-//!   submissions are turned away with [`ServiceError::Shed`] before taking
-//!   a queue slot. The service does not retry; the caller decides whether
-//!   to resubmit.
+//! * **Overload** is bounded by the queue ([`ServiceError::QueueFull`])
+//!   and by deadline admission at submit ([`ServiceError::Rejected`]);
+//!   every plan the service computes comes from the scheme admission
+//!   picked, with its α-certificate. The service does not retry; the
+//!   caller decides whether to resubmit.
 //! * **Deterministic chaos** ([`FaultPlan`]) — panics, delays, queue-full
 //!   rejections and worker kills keyed on exact submission ordinals (or
 //!   the `MOQO_SL_FAULTS` env grammar), so fault runs replay byte-stable
@@ -129,10 +128,8 @@ pub use cache::{CacheKey, CacheLookup, CacheSnapshot, EntryStats, PlanCache, Sha
 pub use export::{render_prometheus, TraceSnapshot};
 pub use fault::{FaultAction, FaultPlan, FaultPlanBuilder};
 pub use histogram::{HistogramSnapshot, LogHistogram, BUCKETS as HISTOGRAM_BUCKETS};
-pub use metrics::{AlgorithmKind, MetricsSnapshot, PressureGauge, ServiceCounter, ServiceMetrics};
-pub use policy::{
-    Admission, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext,
-};
+pub use metrics::{AlgorithmKind, MetricsSnapshot, ServiceCounter, ServiceMetrics};
+pub use policy::{Admission, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext};
 pub use queue::{BoundedQueue, PushError};
 pub use request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,

@@ -91,16 +91,12 @@ pub enum ServiceCounter {
     Failed,
     /// [`MetricsSnapshot::queue_full`].
     QueueFull,
-    /// [`MetricsSnapshot::shed`].
-    Shed,
     /// [`MetricsSnapshot::panics_total`].
     PanicsTotal,
     /// [`MetricsSnapshot::respawns`].
     Respawns,
     /// [`MetricsSnapshot::stalls_detected`].
     StallsDetected,
-    /// [`MetricsSnapshot::degraded_blocks`].
-    DegradedBlocks,
     /// [`MetricsSnapshot::downgraded_blocks`].
     DowngradedBlocks,
 }
@@ -117,9 +113,6 @@ pub struct ServiceMetrics {
     started: Instant,
     /// One slot per [`ServiceCounter`].
     counters: [AtomicU64; ServiceCounter::COUNT],
-    /// EWMA of recent queue waits: the brownout controller's pressure
-    /// signal (reads are one relaxed load on the submit fast path).
-    pressure: PressureGauge,
     algo_blocks: [AtomicU64; AlgorithmKind::ALL.len()],
     /// Submission → response, the sum of the two series below (recorded on
     /// one clock, the job's submission `Instant`, so the series agree by
@@ -140,7 +133,6 @@ impl Default for ServiceMetrics {
         ServiceMetrics {
             started: Instant::now(),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            pressure: PressureGauge::default(),
             algo_blocks: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: LogHistogram::new(),
             queue_wait: LogHistogram::new(),
@@ -159,15 +151,14 @@ impl ServiceMetrics {
     }
 
     /// Counts one failed request under the error taxonomy: admission
-    /// rejections, deadline expiries, shed submissions and internal losses
-    /// land in separate counters, so `rejected` means what its docs say.
+    /// rejections, deadline expiries and internal losses land in separate
+    /// counters, so `rejected` means what its docs say.
     /// An `Internal` error additionally bumps `panics_total` — every
     /// internal error today is a caught worker panic.
     pub fn on_error(&self, error: &ServiceError) {
         self.bump(match error {
             ServiceError::Rejected(_) => ServiceCounter::Rejected,
             ServiceError::DeadlineExceeded => ServiceCounter::TimedOut,
-            ServiceError::Shed => ServiceCounter::Shed,
             ServiceError::Internal { .. } => {
                 self.bump(ServiceCounter::PanicsTotal);
                 ServiceCounter::Failed
@@ -176,13 +167,6 @@ impl ServiceMetrics {
                 ServiceCounter::Failed
             }
         });
-    }
-
-    /// The queue-wait pressure gauge (shared with the brownout admission
-    /// controller).
-    #[must_use]
-    pub fn pressure_gauge(&self) -> &PressureGauge {
-        &self.pressure
     }
 
     /// Counts one optimized (or cache-served) block.
@@ -204,7 +188,6 @@ impl ServiceMetrics {
         self.queue_wait.record(queue_wait);
         self.service_time.record(service_time);
         self.latency.record(queue_wait + service_time);
-        self.pressure.record(queue_wait);
     }
 
     /// A consistent-enough point-in-time view. Counters are relaxed loads;
@@ -218,6 +201,18 @@ impl ServiceMetrics {
     /// idle uptime.
     #[must_use]
     pub fn snapshot(&self, cache: CacheSnapshot, alive_workers: usize) -> MetricsSnapshot {
+        self.snapshot_at(self.started.elapsed(), cache, alive_workers)
+    }
+
+    /// [`ServiceMetrics::snapshot`] taken `elapsed` after startup: the
+    /// clock is read once, by the caller, so tests can drive the
+    /// throughput window with fixed stamps.
+    fn snapshot_at(
+        &self,
+        elapsed: Duration,
+        cache: CacheSnapshot,
+        alive_workers: usize,
+    ) -> MetricsSnapshot {
         let latency_histogram = self.latency.snapshot();
         let queue_wait_histogram = self.queue_wait.snapshot();
         let service_time_histogram = self.service_time.snapshot();
@@ -226,7 +221,6 @@ impl ServiceMetrics {
         let completed = count(ServiceCounter::Completed);
         let [blocks_exa, blocks_rta, blocks_ira, blocks_rmq, blocks_cached] =
             AlgorithmKind::ALL.map(|kind| self.algo_blocks[kind as usize].load(Ordering::Relaxed));
-        let elapsed = self.started.elapsed();
         let now_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         // Guard against back-to-back snapshots: a window of a few
         // microseconds holding one completion would report a million-rps
@@ -261,11 +255,10 @@ impl ServiceMetrics {
             timed_out: count(ServiceCounter::TimedOut),
             failed: count(ServiceCounter::Failed),
             queue_full: count(ServiceCounter::QueueFull),
-            shed: count(ServiceCounter::Shed),
+            shed: 0,
             panics_total: count(ServiceCounter::PanicsTotal),
             respawns: count(ServiceCounter::Respawns),
             stalls_detected: count(ServiceCounter::StallsDetected),
-            degraded_blocks: count(ServiceCounter::DegradedBlocks),
             downgraded_blocks: count(ServiceCounter::DowngradedBlocks),
             throughput_rps,
             p50: latency_histogram.quantile(0.50),
@@ -282,7 +275,6 @@ impl ServiceMetrics {
             blocks_ira,
             blocks_rmq,
             blocks_cached,
-            pressure: self.pressure.current(),
             alive_workers,
             cache,
             latency_histogram,
@@ -318,9 +310,9 @@ pub struct MetricsSnapshot {
     pub failed: u64,
     /// Submissions bounced off a full queue.
     pub queue_full: u64,
-    /// Submissions shed by the brownout admission controller (queue-wait
-    /// pressure above the watermark) — separate from `rejected`, which is
-    /// a per-request deadline verdict.
+    /// Always 0: the service no longer sheds load. The field stays only
+    /// because the `perfbench` benchmark still reads it; nothing in the
+    /// workspace sets, exports or renders it.
     pub shed: u64,
     /// Worker panics caught at the job boundary and delivered as
     /// [`ServiceError::Internal`](crate::ServiceError::Internal); every
@@ -331,10 +323,6 @@ pub struct MetricsSnapshot {
     /// Wedged workers detected (heartbeat stagnant past the stall
     /// threshold); each was abandoned and a substitute fielded.
     pub stalls_detected: u64,
-    /// Blocks browned out under load pressure: forced onto the anytime
-    /// search (and/or a shrunken sample budget) by the admission
-    /// controller rather than by deadline or size gates.
-    pub degraded_blocks: u64,
     /// Blocks that ran a weaker algorithm than the request preferred.
     pub downgraded_blocks: u64,
     /// Completed requests per second over the current throughput window
@@ -368,9 +356,6 @@ pub struct MetricsSnapshot {
     pub blocks_rmq: u64,
     /// Blocks served straight from the plan cache.
     pub blocks_cached: u64,
-    /// Live [`PressureGauge`] value — the EWMA of recent queue waits the
-    /// brownout controller reads — `None` before the first completion.
-    pub pressure: Option<Duration>,
     /// Workers registered as live at snapshot time (transiently below the
     /// configured count while the supervisor replaces one).
     pub alive_workers: usize,
@@ -388,96 +373,7 @@ impl MetricsSnapshot {
     /// Total failed requests across the error taxonomy.
     #[must_use]
     pub fn errors_total(&self) -> u64 {
-        self.rejected + self.timed_out + self.failed + self.shed
-    }
-}
-
-/// A lock-free exponentially weighted moving average of one `f64` signal:
-/// each new sample carries weight 0.2, the first one is taken as is.
-/// Stored as `f64` bits in one atomic word; 0 bits mean "no sample yet".
-#[derive(Debug)]
-pub(crate) struct EwmaCell(AtomicU64);
-
-impl Default for EwmaCell {
-    fn default() -> Self {
-        EwmaCell(AtomicU64::new(0))
-    }
-}
-
-impl EwmaCell {
-    const SMOOTHING: f64 = 0.2;
-
-    /// Folds one sample in (short CAS loop; a lost race drops one sample
-    /// of smoothing, never corrupts the estimate).
-    #[moqo::hot_path]
-    pub(crate) fn record(&self, sample: f64) {
-        let mut current = self.0.load(Ordering::Relaxed);
-        for _ in 0..4 {
-            let updated = if current == 0 {
-                sample
-            } else {
-                Self::SMOOTHING * sample + (1.0 - Self::SMOOTHING) * f64::from_bits(current)
-            };
-            // Exactly-0.0 bits would read as "no sample"; nudge instead.
-            let bits = updated.max(f64::MIN_POSITIVE).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(current, bits, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    /// The current estimate, `None` before the first sample.
-    pub(crate) fn get(&self) -> Option<f64> {
-        let bits = self.0.load(Ordering::Relaxed);
-        (bits != 0).then(|| f64::from_bits(bits))
-    }
-}
-
-/// A lock-free EWMA of recent queue waits: the load signal the brownout
-/// admission controller reads on every submit (one relaxed load).
-///
-/// Workers fold each completed request's queue wait in with smoothing
-/// 0.2; [`PressureGauge::pressure`] normalizes the current estimate
-/// against a watermark, so `1.0` means "queue waits sit exactly at the
-/// watermark" and values above it measure how far into brownout the
-/// service is.
-#[derive(Debug, Default)]
-pub struct PressureGauge {
-    /// EWMA of queue-wait micros.
-    ewma_us: EwmaCell,
-}
-
-impl PressureGauge {
-    /// Folds one measured queue wait in (see `EwmaCell::record`).
-    #[moqo::hot_path]
-    pub fn record(&self, queue_wait: Duration) {
-        self.ewma_us.record(queue_wait.as_secs_f64() * 1e6);
-    }
-
-    /// The current queue-wait estimate, `None` before the first sample.
-    #[must_use]
-    pub fn current(&self) -> Option<Duration> {
-        self.ewma_us
-            .get()
-            .map(|us| Duration::from_secs_f64(us / 1e6))
-    }
-
-    /// Current estimate over `watermark` (`0.0` before any sample; a
-    /// zero watermark saturates rather than divides by zero).
-    #[must_use]
-    pub fn pressure(&self, watermark: Duration) -> f64 {
-        let Some(current) = self.current() else {
-            return 0.0;
-        };
-        let watermark_s = watermark.as_secs_f64();
-        if watermark_s <= 0.0 {
-            return f64::INFINITY;
-        }
-        current.as_secs_f64() / watermark_s
+        self.rejected + self.timed_out + self.failed
     }
 }
 
@@ -540,15 +436,14 @@ mod tests {
         m.on_error(&ServiceError::DeadlineExceeded);
         m.on_error(&ServiceError::DeadlineExceeded);
         m.on_error(&ServiceError::WorkerLost);
-        m.on_error(&ServiceError::Shed);
         m.on_error(&ServiceError::internal("boom".into()));
         let snap = m.snapshot(CacheSnapshot::default(), 0);
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.timed_out, 2);
         assert_eq!(snap.failed, 2, "WorkerLost and Internal both fail");
-        assert_eq!(snap.shed, 1);
+        assert_eq!(snap.shed, 0, "nothing sheds");
         assert_eq!(snap.panics_total, 1, "Internal implies a caught panic");
-        assert_eq!(snap.errors_total(), 6);
+        assert_eq!(snap.errors_total(), 5);
     }
 
     #[test]
@@ -557,11 +452,9 @@ mod tests {
         m.bump(ServiceCounter::Respawns);
         m.bump(ServiceCounter::Respawns);
         m.bump(ServiceCounter::StallsDetected);
-        m.bump(ServiceCounter::DegradedBlocks);
         let snap = m.snapshot(CacheSnapshot::default(), 0);
         assert_eq!(snap.respawns, 2);
         assert_eq!(snap.stalls_detected, 1);
-        assert_eq!(snap.degraded_blocks, 1);
     }
 
     #[test]
@@ -579,14 +472,12 @@ mod tests {
             snap.timed_out,
             snap.failed,
             snap.queue_full,
-            snap.shed,
             snap.panics_total,
             snap.respawns,
             snap.stalls_detected,
-            snap.degraded_blocks,
             snap.downgraded_blocks,
         ];
-        assert_eq!(fields, [1, 2, 3, 4, 5, 6, 7, 8, 10, 10, 11, 12]);
+        assert_eq!(fields, [1, 2, 3, 4, 5, 6, 7, 9, 9, 10]);
     }
 
     #[test]
@@ -604,14 +495,14 @@ mod tests {
     #[test]
     fn back_to_back_snapshots_never_report_absurd_throughput() {
         let m = ServiceMetrics::default();
-        std::thread::sleep(Duration::from_millis(2));
-        let _ = m.snapshot(CacheSnapshot::default(), 0);
-        // One completion, then an immediate snapshot: the old swap-based
+        let at = |us| m.snapshot_at(Duration::from_micros(us), CacheSnapshot::default(), 0);
+        let _ = at(2_000);
+        // One completion, then a snapshot 5 µs later: the old swap-based
         // window could divide 1 completion by a microsecond-scale window
         // and report ~1M rps. The clamped denominator bounds the rate to
         // completions-per-minimum-window.
         m.on_completed(Duration::ZERO, Duration::from_micros(5));
-        let spike = m.snapshot(CacheSnapshot::default(), 0);
+        let spike = at(2_005);
         assert!(
             spike.throughput_rps <= 1_000.0,
             "1 completion in a sub-ms window must cap at 1/1ms = 1000 rps, \
@@ -620,26 +511,8 @@ mod tests {
         );
         // The short window stayed open: once it is long enough, the same
         // completion still closes a window (not lost to the guard).
-        std::thread::sleep(Duration::from_millis(2));
-        let settled = m.snapshot(CacheSnapshot::default(), 0);
+        let settled = at(4_005);
         assert!(settled.throughput_rps > 0.0);
-    }
-
-    #[test]
-    fn pressure_gauge_tracks_queue_waits() {
-        let gauge = PressureGauge::default();
-        assert_eq!(gauge.current(), None);
-        assert_eq!(gauge.pressure(Duration::from_millis(10)), 0.0);
-        gauge.record(Duration::from_millis(10));
-        let first = gauge.current().unwrap();
-        assert!((first.as_secs_f64() - 0.010).abs() < 1e-9);
-        // EWMA: 0.2 · 20ms + 0.8 · 10ms = 12ms.
-        gauge.record(Duration::from_millis(20));
-        let second = gauge.current().unwrap();
-        assert!((second.as_secs_f64() - 0.012).abs() < 1e-9);
-        let pressure = gauge.pressure(Duration::from_millis(6));
-        assert!((pressure - 2.0).abs() < 1e-9, "12ms over a 6ms watermark");
-        assert!(gauge.pressure(Duration::ZERO).is_infinite());
     }
 
     #[test]

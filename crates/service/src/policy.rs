@@ -11,8 +11,7 @@
 use std::time::Duration;
 
 use moqo_core::Algorithm;
-
-use crate::metrics::EwmaCell;
+use moqo_sync::atomic::{AtomicU64, Ordering};
 
 /// What the policy sees about one block of a request at scheduling time.
 #[derive(Debug, Clone, Copy)]
@@ -44,15 +43,48 @@ pub enum Admission {
     Reject,
 }
 
-impl Admission {
-    /// The admitted algorithm, `None` on a rejection — the shape trace
-    /// events and admission fast paths branch on.
-    #[must_use]
-    pub fn admitted_algorithm(&self) -> Option<Algorithm> {
-        match self {
-            Admission::Run { algorithm, .. } => Some(*algorithm),
-            Admission::Reject => None,
+/// A lock-free exponentially weighted moving average of one `f64` signal:
+/// each new sample carries weight 0.2, the first one is taken as is.
+/// Stored as `f64` bits in one atomic word; 0 bits mean "no sample yet".
+#[derive(Debug)]
+struct EwmaCell(AtomicU64);
+
+impl Default for EwmaCell {
+    fn default() -> Self {
+        EwmaCell(AtomicU64::new(0))
+    }
+}
+
+impl EwmaCell {
+    const SMOOTHING: f64 = 0.2;
+
+    /// Folds one sample in (short CAS loop; a lost race drops one sample
+    /// of smoothing, never corrupts the estimate).
+    #[moqo::hot_path]
+    fn record(&self, sample: f64) {
+        let mut current = self.0.load(Ordering::Relaxed);
+        for _ in 0..4 {
+            let updated = if current == 0 {
+                sample
+            } else {
+                Self::SMOOTHING * sample + (1.0 - Self::SMOOTHING) * f64::from_bits(current)
+            };
+            // Exactly-0.0 bits would read as "no sample"; nudge instead.
+            let bits = updated.max(f64::MIN_POSITIVE).to_bits();
+            match self
+                .0
+                .compare_exchange_weak(current, bits, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => return,
+                Err(seen) => current = seen,
+            }
         }
+    }
+
+    /// The current estimate, `None` before the first sample.
+    fn get(&self) -> Option<f64> {
+        let bits = self.0.load(Ordering::Relaxed);
+        (bits != 0).then(|| f64::from_bits(bits))
     }
 }
 
@@ -102,105 +134,6 @@ impl LearnedBlockTimes {
         self.cell(block_size)
             .get()
             .map(|us| Duration::from_secs_f64(us / 1e6))
-    }
-}
-
-/// Brownout admission control: how the service trades α for latency under
-/// measured overload instead of failing requests outright.
-///
-/// The anytime view of RMQ (arXiv:1603.00400) makes graceful degradation
-/// principled: the randomized search produces *some* front under any
-/// budget, and shrinking its sample count is a continuous quality/latency
-/// dial. This config turns the queue-wait pressure gauge into the two
-/// brownout actions:
-///
-/// * `1 < pressure < shed_threshold` — **degrade**: blocks that would run
-///   a DP scheme are forced onto RMQ with `base_samples / pressure`
-///   samples (floored at `min_samples`), so service time shrinks as
-///   pressure grows. The degradation is stamped in the block's
-///   [`BlockReport`](moqo_core::BlockReport) (`degraded_by_pressure`) and
-///   the response's `achieved_alpha` honestly reports `∞` — α-accounting
-///   never pretends a browned-out block kept its guarantee.
-/// * `pressure ≥ shed_threshold` — **shed**: new submissions are turned
-///   away with [`ServiceError::Shed`](crate::ServiceError::Shed) before
-///   occupying a queue slot they would only time out in.
-///
-/// `watermark: None` (the default) disables the controller entirely —
-/// existing deterministic replay gates see byte-identical behaviour.
-#[derive(Debug, Clone)]
-pub struct BrownoutConfig {
-    /// Queue-wait EWMA at which brownout begins; `None` disables.
-    pub watermark: Option<Duration>,
-    /// Pressure multiple (EWMA / watermark) at which shedding starts
-    /// (default 2.0; degradation covers the band in between).
-    pub shed_threshold: f64,
-    /// RMQ sample budget at pressure 1.0 (default 2000, matching the
-    /// sample budget of [`DeadlineAwarePolicy`]'s RMQ fallback).
-    pub base_samples: u64,
-    /// Sample-budget floor under extreme pressure (default 50).
-    pub min_samples: u64,
-    /// Seed for degraded RMQ runs (fixed per service: reproducibility).
-    pub rmq_seed: u64,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            watermark: None,
-            shed_threshold: 2.0,
-            base_samples: 2000,
-            min_samples: 50,
-            rmq_seed: 0x5EED,
-        }
-    }
-}
-
-/// What the brownout controller decided for one admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BrownoutLevel {
-    /// No overload: run whatever the policy admits.
-    Normal,
-    /// Degrade: force the anytime search at this sample budget.
-    Degrade {
-        /// Pressure-scaled RMQ sample budget.
-        samples: u64,
-    },
-    /// Shed the submission outright.
-    Shed,
-}
-
-impl BrownoutConfig {
-    /// Classifies a measured pressure reading (EWMA / watermark).
-    #[must_use]
-    pub fn assess(&self, pressure: f64) -> BrownoutLevel {
-        if self.watermark.is_none() {
-            return BrownoutLevel::Normal;
-        }
-        if pressure >= self.shed_threshold {
-            return BrownoutLevel::Shed;
-        }
-        if pressure > 1.0 {
-            #[allow(
-                clippy::cast_precision_loss,
-                clippy::cast_possible_truncation,
-                clippy::cast_sign_loss
-            )]
-            let scaled = (self.base_samples as f64 / pressure) as u64;
-            return BrownoutLevel::Degrade {
-                samples: scaled.max(self.min_samples),
-            };
-        }
-        BrownoutLevel::Normal
-    }
-
-    /// The degraded algorithm for one block at `samples` budget.
-    #[must_use]
-    pub fn degraded_algorithm(&self, samples: u64) -> Algorithm {
-        Algorithm::Rmq {
-            samples,
-            seed: self.rmq_seed,
-            threads: 1,
-        }
     }
 }
 
@@ -269,9 +202,20 @@ impl DeadlineAwarePolicy {
                 return Admission::Reject;
             }
         }
-        // An explicit hint bypasses the preference order and the size
-        // gates, but never the minimum-budget admission above.
+        // An explicit hint bypasses the preference order and the deadline
+        // model, but never the minimum-budget admission above, and a DP
+        // hint never its size gate: a DP table over a block that size is
+        // unbounded work, with or without a deadline. A hint is a caller
+        // contract, so a failed gate rejects instead of downgrading.
         if let Some(hint) = ctx.hint {
+            let size_gate = match hint {
+                Algorithm::Exhaustive => EXA_MAX_TABLES,
+                Algorithm::Rta { .. } | Algorithm::Ira { .. } => DP_MAX_TABLES,
+                Algorithm::Rmq { .. } => usize::MAX,
+            };
+            if ctx.block_size > size_gate {
+                return Admission::Reject;
+            }
             return Admission::Run {
                 algorithm: hint,
                 downgraded: false,
@@ -439,61 +383,43 @@ mod tests {
     }
 
     #[test]
-    fn brownout_bands_and_sample_scaling() {
-        let disabled = BrownoutConfig::default();
-        assert_eq!(disabled.assess(10.0), BrownoutLevel::Normal);
-
-        let active = BrownoutConfig {
-            watermark: Some(Duration::from_millis(10)),
-            ..BrownoutConfig::default()
-        };
-        assert_eq!(active.assess(0.0), BrownoutLevel::Normal);
-        assert_eq!(active.assess(1.0), BrownoutLevel::Normal);
-        // Degradation band: budget shrinks with pressure.
-        assert_eq!(
-            active.assess(1.25),
-            BrownoutLevel::Degrade { samples: 1600 }
-        );
-        match active.assess(1.9) {
-            BrownoutLevel::Degrade { samples } => {
-                assert!(samples < 1600 && samples >= active.min_samples);
-            }
-            other => panic!("expected degradation, got {other:?}"),
-        }
-        // At and past the threshold: shed (including infinite pressure).
-        assert_eq!(active.assess(2.0), BrownoutLevel::Shed);
-        assert_eq!(active.assess(f64::INFINITY), BrownoutLevel::Shed);
-        // The floor holds under a tiny base budget.
-        let floored = BrownoutConfig {
-            base_samples: 60,
-            shed_threshold: 100.0,
-            ..active.clone()
-        };
-        assert_eq!(floored.assess(50.0), BrownoutLevel::Degrade { samples: 50 });
-        // The degraded algorithm is the anytime search at the scaled budget.
-        assert_eq!(
-            active.degraded_algorithm(1600),
-            Algorithm::Rmq {
-                samples: 1600,
-                seed: active.rmq_seed,
-                threads: 1
-            }
-        );
-    }
-
-    #[test]
     fn hints_bypass_gates_but_not_admission() {
         let p = DeadlineAwarePolicy;
-        let mut c = ctx(16, 1.0, false, None);
-        c.hint = Some(Algorithm::Exhaustive);
+        let hinted = |block_size, hint, remaining| {
+            let mut c = ctx(block_size, 1.0, false, remaining);
+            c.hint = Some(hint);
+            p.admit(&c)
+        };
+        let run = |algorithm| Admission::Run {
+            algorithm,
+            downgraded: false,
+        };
+        let rta = Algorithm::Rta { alpha: 1.5 };
+        let ira = Algorithm::Ira { alpha: 1.5 };
+        // Within its size gate a hint runs as given, even where the
+        // deadline model would have downgraded it.
+        let tight = Some(Duration::from_millis(1));
         assert_eq!(
-            p.admit(&c),
-            Admission::Run {
-                algorithm: Algorithm::Exhaustive,
-                downgraded: false
-            }
+            hinted(EXA_MAX_TABLES, Algorithm::Exhaustive, tight),
+            run(Algorithm::Exhaustive)
         );
-        c.remaining = Some(Duration::from_micros(10));
-        assert_eq!(p.admit(&c), Admission::Reject);
+        assert_eq!(hinted(DP_MAX_TABLES, rta, None), run(rta));
+        assert_eq!(hinted(DP_MAX_TABLES, ira, None), run(ira));
+        // One relation past the gate, a DP hint is rejected — deadline or
+        // not — instead of running an unbounded DP.
+        assert_eq!(
+            hinted(EXA_MAX_TABLES + 1, Algorithm::Exhaustive, None),
+            Admission::Reject
+        );
+        assert_eq!(hinted(DP_MAX_TABLES + 1, rta, None), Admission::Reject);
+        assert_eq!(hinted(DP_MAX_TABLES + 1, ira, None), Admission::Reject);
+        // RMQ has no size gate.
+        let rmq = DeadlineAwarePolicy::rmq();
+        assert_eq!(hinted(32, rmq, None), run(rmq));
+        // The minimum budget still applies to every hint.
+        assert_eq!(
+            hinted(2, rmq, Some(Duration::from_micros(10))),
+            Admission::Reject
+        );
     }
 }

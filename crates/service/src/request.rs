@@ -152,10 +152,7 @@ pub struct BlockOutcome {
     pub achieved_alpha: f64,
     /// The optimizer's per-block report (timings, pruning counters, final
     /// α, prune mode). Cache hits carry a synthetic report describing the
-    /// cached entry. When the service browned the block out under load
-    /// pressure, `report.degraded_by_pressure` is stamped `true` — the
-    /// α-accounting stays honest about why the guarantee is weaker than
-    /// the request preferred.
+    /// cached entry.
     pub report: BlockReport,
 }
 
@@ -214,8 +211,8 @@ impl OptimizationResponse {
 
 /// Why a request produced no plan. Each variant lands in its own metrics
 /// counter (see [`crate::MetricsSnapshot`]): `Rejected` →
-/// `rejected`, `DeadlineExceeded` → `timed_out`, `Shed` → `shed`,
-/// everything else → `failed`.
+/// `rejected`, `DeadlineExceeded` → `timed_out`, everything else →
+/// `failed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// The bounded work queue was at capacity (back-pressure). The
@@ -224,28 +221,30 @@ pub enum ServiceError {
     QueueFull,
     /// The service is shutting down.
     ShuttingDown,
-    /// The request was refused: at submission for malformed input (a block
-    /// that fails [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate)
-    /// against the service's catalog — an unknown table, more than 32
-    /// relations, a self-join edge — an α that is not a finite number
-    /// ≥ 1, a weight that is not a finite number ≥ 0, or a bound that is
-    /// NaN or negative), or by admission control (budget too small for every admitted
-    /// algorithm, block too large, …) — either at submission (the fast
-    /// path, before the request occupies a queue slot) or when a worker
-    /// re-checked the per-block budget.
+    /// The request was refused, and resubmitting it unchanged will be
+    /// refused again. One variant covers three causes because the caller's
+    /// fix is the same for all of them, to change the request:
+    ///
+    /// * malformed input, refused at submission: a block that fails
+    ///   [`JoinGraph::validate`](moqo_catalog::JoinGraph::validate) against
+    ///   the service's catalog (an unknown table, more than 32 relations, a
+    ///   self-join edge), an α that is not a finite number ≥ 1, a weight
+    ///   that is not a finite number ≥ 0, or a bound that is NaN or
+    ///   negative;
+    /// * admission: the deadline budget admits no algorithm for a block,
+    ///   at submission (the fast path, before the request occupies a queue
+    ///   slot) or when a worker re-checks the per-block budget;
+    /// * an algorithm hint of EXA, RTA or IRA on a block larger than the
+    ///   policy's size gate for that scheme.
+    ///
+    /// The reason string says which. The transient errors, where
+    /// resubmitting the same request can help, are `QueueFull` and
+    /// `DeadlineExceeded`.
     Rejected(String),
     /// The request's deadline expired before a block could start — all
     /// budget was consumed by queue wait and/or earlier blocks. Distinct
     /// from `Rejected`: admission never got a say, the clock did.
     DeadlineExceeded,
-    /// The brownout admission controller shed this submission: measured
-    /// queue-wait pressure stood above the shedding watermark, so the
-    /// request was turned away *before* occupying a queue slot it would
-    /// only have timed out in. Distinct from both `Rejected` (a per-request
-    /// deadline verdict) and `QueueFull` (hard capacity): shedding is the
-    /// service's own overload valve, and like `QueueFull` it is transient:
-    /// the same request may succeed once the backlog drains.
-    Shed,
     /// The worker processing the request panicked; the panic was caught at
     /// the job boundary, the worker survived, and the payload is delivered
     /// here instead of killing the thread (and, transitively, the pool).
@@ -294,12 +293,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Rejected(reason) => write!(f, "request rejected: {reason}"),
             ServiceError::DeadlineExceeded => {
                 write!(f, "deadline expired before optimization could start")
-            }
-            ServiceError::Shed => {
-                write!(
-                    f,
-                    "request shed: queue-wait pressure above the brownout watermark"
-                )
             }
             ServiceError::Internal {
                 payload,

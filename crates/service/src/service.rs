@@ -15,9 +15,7 @@ use crate::cache::{CacheKey, CacheLookup, CacheSnapshot, PlanCache};
 use crate::export::{render_prometheus, TraceSnapshot};
 use crate::fault::{guarded_catch, FaultAction, FaultPlan};
 use crate::metrics::{AlgorithmKind, MetricsSnapshot, ServiceCounter, ServiceMetrics};
-use crate::policy::{
-    Admission, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext,
-};
+use crate::policy::{Admission, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext};
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,
@@ -61,15 +59,11 @@ struct ServiceInner {
     learned: LearnedBlockTimes,
     /// Worker registry + supervisor signalling.
     supervision: Supervision,
-    /// Brownout admission controller config.
-    brownout: BrownoutConfig,
     supervisor_tick: Duration,
     /// Deterministic fault schedule, if chaos is enabled.
     faults: Option<FaultPlan>,
     /// Submission-order counter; assigns fault-plan ordinals.
     ordinals: AtomicU64,
-    /// Pool size the supervisor restores towards (== shard count).
-    workers_target: usize,
     /// The flight recorder, when tracing is enabled (see
     /// [`ServiceBuilder::tracing`]); `None` keeps every request path
     /// byte-identical to the untraced service.
@@ -124,51 +118,52 @@ impl ServiceInner {
         Ok(())
     }
 
-    /// Admission across all blocks of a request against deadline `total`,
-    /// with per-block proportional shares. `Ok` means every block admits
-    /// *some* algorithm under the optimistic assumption that no budget
-    /// has been spent yet — used as the submit-time fast path, and
-    /// re-checked per block with real elapsed time at processing time.
-    fn admit_all_blocks(
-        &self,
-        request: &OptimizationRequest,
-        total: Duration,
-    ) -> Result<(), ServiceError> {
-        let estimates: Vec<Duration> = request
-            .query
-            .blocks
-            .iter()
-            .map(|g| self.block_time_estimate(g.n_rels()))
-            .collect();
+    /// Admission across all blocks of a request, against the request's
+    /// deadline (if any) with per-block proportional shares. `Ok` means
+    /// every block admits *some* algorithm under the optimistic assumption
+    /// that no budget has been spent yet — used as the submit-time fast
+    /// path, and re-checked per block with real elapsed time at processing
+    /// time. Without a deadline only an oversized algorithm hint can fail.
+    fn admit_all_blocks(&self, request: &OptimizationRequest) -> Result<(), ServiceError> {
+        let estimates: Vec<Duration> = match request.deadline {
+            Some(_) => request
+                .query
+                .blocks
+                .iter()
+                .map(|g| self.block_time_estimate(g.n_rels()))
+                .collect(),
+            None => Vec::new(),
+        };
         for (idx, graph) in request.query.blocks.iter().enumerate() {
-            let share = block_share(total, &estimates[idx..]);
-            let decision = DeadlineAwarePolicy.admit(&PolicyContext {
+            let ctx = PolicyContext {
                 block_size: graph.n_rels(),
                 alpha: request.alpha,
                 bounded: request.is_bounded(),
-                remaining: Some(share),
+                remaining: request
+                    .deadline
+                    .map(|total| block_share(total, &estimates[idx..])),
                 hint: request.hint,
-            });
-            if decision.admitted_algorithm().is_none() {
-                return Err(ServiceError::Rejected(format!(
-                    "deadline budget {share:?} admits no algorithm for a {}-relation block",
-                    graph.n_rels()
-                )));
+            };
+            if DeadlineAwarePolicy.admit(&ctx) == Admission::Reject {
+                return Err(not_admitted(&ctx));
             }
         }
         Ok(())
     }
+}
 
-    /// The brownout controller's verdict against the current queue-wait
-    /// pressure (`Normal` whenever the controller is disabled).
-    fn brownout_level(&self) -> BrownoutLevel {
-        match self.brownout.watermark {
-            Some(watermark) => self
-                .brownout
-                .assess(self.metrics.pressure_gauge().pressure(watermark)),
-            None => BrownoutLevel::Normal,
+/// The rejection for a block [`DeadlineAwarePolicy::admit`] refused.
+fn not_admitted(ctx: &PolicyContext) -> ServiceError {
+    let n = ctx.block_size;
+    let remaining = ctx.remaining;
+    ServiceError::Rejected(match ctx.hint {
+        Some(hint) => format!(
+            "hint {hint:?} is not admitted for a {n}-relation block (deadline budget {remaining:?})"
+        ),
+        None => {
+            format!("deadline budget {remaining:?} admits no algorithm for a {n}-relation block")
         }
-    }
+    })
 }
 
 /// A handle to one outstanding request; blocks on [`Ticket::wait`].
@@ -200,7 +195,6 @@ pub struct ServiceBuilder {
     queue_capacity: usize,
     cache_capacity: usize,
     supervisor_tick: Duration,
-    brownout: BrownoutConfig,
     faults: Option<FaultPlan>,
     tracing: Option<TraceConfig>,
 }
@@ -215,7 +209,6 @@ impl ServiceBuilder {
             queue_capacity: 256,
             cache_capacity: 1024,
             supervisor_tick: Duration::from_millis(5),
-            brownout: BrownoutConfig::default(),
             faults: None,
             tracing: None,
         }
@@ -249,13 +242,6 @@ impl ServiceBuilder {
     #[must_use]
     pub fn supervisor_tick(mut self, tick: Duration) -> Self {
         self.supervisor_tick = tick;
-        self
-    }
-
-    /// Enables the brownout admission controller.
-    #[must_use]
-    pub fn brownout(mut self, brownout: BrownoutConfig) -> Self {
-        self.brownout = brownout;
         self
     }
 
@@ -293,11 +279,9 @@ impl ServiceBuilder {
             metrics: ServiceMetrics::default(),
             learned: LearnedBlockTimes::default(),
             supervision: Supervision::new(),
-            brownout: self.brownout,
             supervisor_tick: self.supervisor_tick.max(Duration::from_micros(100)),
             faults: self.faults,
             ordinals: AtomicU64::new(0),
-            workers_target: workers,
             recorder: self
                 .tracing
                 .as_ref()
@@ -322,8 +306,8 @@ impl ServiceBuilder {
 
 /// A concurrent optimization service over one catalog: bounded submission
 /// queue, std-thread worker pool under heartbeat supervision, deadline-aware
-/// admission with brownout load shedding, and the α-aware plan cache. See
-/// the crate docs for the serving semantics.
+/// admission, and the α-aware plan cache. See the crate docs for the
+/// serving semantics.
 pub struct OptimizationService {
     inner: Arc<ServiceInner>,
     supervisor: Option<JoinHandle<()>>,
@@ -349,28 +333,26 @@ impl OptimizationService {
     /// the service's catalog, an α that is not a finite number ≥ 1, a
     /// weight that is not a finite number ≥ 0, or a NaN or negative bound
     /// — is rejected first, so it never reaches the optimizer.
-    /// Deadline-carrying requests pass admission *here*, against the
+    /// Every request then passes admission *here*, against the
     /// whole-request deadline with optimistic per-block shares: a request
-    /// no algorithm could ever serve is rejected before it occupies a
-    /// queue slot (and before its hopeless wait displaces feasible work).
-    /// The per-block admission re-check at processing time still guards
-    /// against budget consumed by queue wait and earlier blocks. When the
-    /// brownout controller is enabled and measured queue-wait pressure
-    /// stands at or above the shed threshold *while a backlog actually
-    /// exists*, the submission is shed before taking a queue slot. The
-    /// whole submit path is lock-free — the capacity check, the shard
-    /// insert and every metrics update are atomics.
+    /// no algorithm could ever serve (a deadline too short, or an EXA, RTA
+    /// or IRA hint on a block over that scheme's size gate) is rejected
+    /// before it occupies a queue slot (and before its hopeless wait
+    /// displaces feasible work). The per-block admission re-check at
+    /// processing time still guards against budget consumed by queue wait
+    /// and earlier blocks. The whole submit path is lock-free — the
+    /// capacity check, the shard insert and every metrics update are
+    /// atomics.
     ///
     /// # Errors
     ///
     /// [`ServiceError::QueueFull`] under back-pressure,
     /// [`ServiceError::Rejected`] for malformed input or from the admission
-    /// fast path, [`ServiceError::Shed`] from the brownout valve,
-    /// [`ServiceError::ShuttingDown`] after shutdown began.
+    /// fast path, [`ServiceError::ShuttingDown`] after shutdown began.
     #[allow(clippy::cast_possible_truncation)]
     pub fn submit(&self, request: OptimizationRequest) -> Result<Ticket, ServiceError> {
         // Ordinals are assigned to every submission — including ones that
-        // are then rejected or shed — so a fault plan keyed on submission
+        // are then rejected — so a fault plan keyed on submission
         // order replays exactly. The ordinal doubles as the trace id.
         let ordinal = self.inner.ordinals.fetch_add(1, Ordering::Relaxed);
         let recorder = self.inner.recorder.as_ref();
@@ -384,26 +366,10 @@ impl OptimizationService {
         let admitted = self
             .inner
             .validate(&request)
-            .and_then(|()| match request.deadline {
-                Some(deadline) => self.inner.admit_all_blocks(&request, deadline),
-                None => Ok(()),
-            });
+            .and_then(|()| self.inner.admit_all_blocks(&request));
         if let Err(error) = admitted {
             self.inner.metrics.on_error(&error);
             rt.event(EventKind::Rejected, 0, 0, 0);
-            rt.finish(Err(&error), 0);
-            return Err(error);
-        }
-        // Shedding needs both signals: pressure says waits are long, the
-        // queue length says the backlog is real *now*. The length guard
-        // keeps a stale EWMA from shedding forever after load has drained.
-        if self.inner.brownout.watermark.is_some()
-            && self.inner.queue.len() >= self.inner.workers_target
-            && self.inner.brownout_level() == BrownoutLevel::Shed
-        {
-            let error = ServiceError::Shed;
-            self.inner.metrics.on_error(&error);
-            rt.event(EventKind::Shed, 0, 0, 0);
             rt.finish(Err(&error), 0);
             return Err(error);
         }
@@ -458,7 +424,7 @@ impl OptimizationService {
     }
 
     /// Metrics snapshot including cache counters and the live gauges
-    /// (pressure, alive workers, per-shard cache occupancy).
+    /// (alive workers, per-shard cache occupancy).
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner
@@ -720,16 +686,6 @@ fn process(
         CostModelParams::default().enable_sampling,
         request.preference.objectives,
     );
-    // Brownout verdict, sampled once per request: under pressure, computed
-    // blocks degrade onto the anytime search with a pressure-scaled sample
-    // budget. A request already past the shed gate degrades at the floor
-    // rather than failing. Explicit algorithm hints are honored as-is.
-    let brownout = match inner.brownout_level() {
-        BrownoutLevel::Shed => BrownoutLevel::Degrade {
-            samples: inner.brownout.min_samples,
-        },
-        level => level,
-    };
     let mut blocks = Vec::with_capacity(request.query.blocks.len());
 
     // Per-block deadline shares, proportional to the block cost estimate:
@@ -821,36 +777,20 @@ fn process(
             continue;
         }
 
-        let decision = DeadlineAwarePolicy.admit(&PolicyContext {
+        let ctx = PolicyContext {
             block_size: graph.n_rels(),
             alpha: request.alpha,
             bounded,
             remaining,
             hint: request.hint,
-        });
+        };
         let Admission::Run {
             algorithm,
             downgraded,
-        } = decision
+        } = DeadlineAwarePolicy.admit(&ctx)
         else {
-            return Err(ServiceError::Rejected(format!(
-                "deadline budget {remaining:?} admits no algorithm for a {}-relation block",
-                graph.n_rels()
-            )));
+            return Err(not_admitted(&ctx));
         };
-        // Graceful degradation: under brownout the admitted algorithm is
-        // replaced by the anytime search at the pressure-scaled sample
-        // budget — shorter service time instead of failed requests. An
-        // explicit hint is a caller contract and is never overridden.
-        let (algorithm, downgraded, degraded) = match brownout {
-            BrownoutLevel::Degrade { samples } if request.hint.is_none() => {
-                (inner.brownout.degraded_algorithm(samples), true, true)
-            }
-            _ => (algorithm, downgraded, false),
-        };
-        if degraded {
-            inner.metrics.bump(ServiceCounter::DegradedBlocks);
-        }
 
         let mut optimizer = Optimizer::new(&inner.catalog);
         if let Some(rem) = remaining {
@@ -869,7 +809,7 @@ fn process(
             _ => (Vec::new(), None),
         };
         let optimize_started = Instant::now();
-        let (block, mut report) =
+        let (block, report) =
             optimizer.optimize_block_warm(graph, &request.preference, algorithm, &warm_trees);
         // Feed the measured wall time back into the deadline split's
         // estimate table (lock-free EWMA) — admission learns the machine
@@ -877,10 +817,8 @@ fn process(
         inner
             .learned
             .record(graph.n_rels(), optimize_started.elapsed());
-        // α-accounting stays honest about brownout: the report carries the
-        // degradation stamp, and `achieved_alpha` reflects the anytime
-        // search's lack of guarantee instead of the request's preference.
-        report.degraded_by_pressure = degraded;
+        // The anytime search carries no guarantee (NaN `alpha_final`): its
+        // front is certified at `∞`.
         let achieved_alpha = if report.alpha_final.is_nan() {
             f64::INFINITY
         } else {
@@ -903,14 +841,15 @@ fn process(
             .metrics
             .on_block(AlgorithmKind::of(algorithm), downgraded);
         // arg0 packs block index (bits 0..32), algorithm kind (32..40) and
-        // flags (40: degraded by pressure, 41: admission downgraded,
-        // 42: warm-started); arg2 is the report's deterministic `DpStats`
-        // digest, so replay checksums pin the whole optimization outcome.
+        // flags (41: admission downgraded, 42: warm-started; bit 40 is
+        // reserved, once a since-deleted flag, and stays 0 so recorded
+        // replay checksums keep matching); arg2 is the report's
+        // deterministic `DpStats` digest, so replay checksums pin the
+        // whole optimization outcome.
         rt.event(
             EventKind::BlockOptimized,
             block_idx as u64
                 | (u64::from(AlgorithmKind::of(algorithm).as_u8()) << 32)
-                | (u64::from(degraded) << 40)
                 | (u64::from(downgraded) << 41)
                 | (u64::from(warm_alpha.is_some()) << 42),
             achieved_alpha.to_bits(),

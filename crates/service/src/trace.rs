@@ -1,12 +1,11 @@
 //! The flight recorder: lock-free, span-structured request tracing.
 //!
 //! Aggregate counters ([`crate::MetricsSnapshot`]) answer *how much*; they
-//! cannot answer "why was request #417 slow / shed / degraded". This
-//! module records the evidence trail per request as fixed-size
+//! cannot answer "why was request #417 slow / rejected / downgraded".
+//! This module records the evidence trail per request as fixed-size
 //! [`TraceEvent`]s — admit/reject, enqueue, pop (queue wait), cache probe
-//! outcome, per-block optimization (algorithm, achieved α, report digest,
-//! `degraded_by_pressure`), panic/kill/shed, completion — into two
-//! sinks at once:
+//! outcome, per-block optimization (algorithm, achieved α, report
+//! digest, downgrade), panic/kill, completion — into two sinks at once:
 //!
 //! * **Per-worker ring buffers** ([`EventRing`]): bounded, oldest
 //!   overwritten, with a `dropped_events` count derived from the head
@@ -19,7 +18,7 @@
 //! * **A per-request span collector** ([`SpanCollector`]): a small
 //!   buffer riding inside the job, so the *complete* trace of a request
 //!   survives ring overwrite. At completion the recorder applies
-//!   **tail-based exemplar retention**: every errored / shed / panicked /
+//!   **tail-based exemplar retention**: every errored / panicked /
 //!   worker-killing request is kept in full (bounded store, drop-oldest
 //!   with its own counter), and completed requests compete for the
 //!   rolling slowest-k by latency.
@@ -82,12 +81,10 @@ pub enum EventKind {
     /// `arg0` = block count, `arg1` = requested α bits, `arg2` = 1 when a
     /// deadline is attached.
     Submitted = 0,
-    // Code 1 is unassigned: the codes are on the wire and in every trace
-    // checksum, so the others must not shift.
+    // Codes 1 and 3 are unassigned: the codes are on the wire and in every
+    // trace checksum, so the others must not shift.
     /// The admission fast path rejected the request at submission.
     Rejected = 2,
-    /// The brownout valve shed the submission before it took a queue slot.
-    Shed = 3,
     /// The submission bounced off a full (or fault-injected-full) queue.
     QueueFull = 4,
     /// The request took a queue slot.
@@ -103,8 +100,8 @@ pub enum EventKind {
     /// the resident entry's α bits (0 on a miss).
     CacheProbe = 8,
     /// One block was optimized. `arg0` packs block index (bits 0..32),
-    /// [`crate::AlgorithmKind`] code (bits 32..40), and flags (bit 40
-    /// `degraded_by_pressure`, bit 41 downgraded, bit 42 warm-started);
+    /// [`crate::AlgorithmKind`] code (bits 32..40), and flags (bit 41
+    /// downgraded, bit 42 warm-started; bit 40 is reserved and always 0);
     /// `arg1` = achieved α bits; `arg2` = the block report's
     /// deterministic digest (`BlockReport::trace_digest`).
     BlockOptimized = 9,
@@ -137,13 +134,12 @@ impl EventKind {
     pub fn from_u8(value: u8) -> Option<Self> {
         use EventKind::{
             BlockOptimized, CacheProbe, Completed, DeadlineExceeded, Enqueued, Failed, FaultDelay,
-            PanicCaught, Popped, QueueFull, Rejected, Shed, Submitted, WorkerKilled,
-            WorkerRespawned, WorkerStalled,
+            PanicCaught, Popped, QueueFull, Rejected, Submitted, WorkerKilled, WorkerRespawned,
+            WorkerStalled,
         };
         Some(match value {
             0 => Submitted,
             2 => Rejected,
-            3 => Shed,
             4 => QueueFull,
             5 => Enqueued,
             6 => Popped,
@@ -167,7 +163,6 @@ impl EventKind {
         match self {
             EventKind::Submitted => "submitted",
             EventKind::Rejected => "rejected",
-            EventKind::Shed => "shed",
             EventKind::QueueFull => "queue_full",
             EventKind::Enqueued => "enqueued",
             EventKind::Popped => "popped",
@@ -196,7 +191,8 @@ impl EventKind {
 }
 
 /// The stable class code of a [`ServiceError`], carried by
-/// [`EventKind::Failed`] events.
+/// [`EventKind::Failed`] events. Code 4 is unassigned, so that the codes
+/// after it, and every checksum over them, keep their values.
 #[must_use]
 pub fn error_code(error: &ServiceError) -> u64 {
     match error {
@@ -204,7 +200,6 @@ pub fn error_code(error: &ServiceError) -> u64 {
         ServiceError::ShuttingDown => 1,
         ServiceError::Rejected(_) => 2,
         ServiceError::DeadlineExceeded => 3,
-        ServiceError::Shed => 4,
         ServiceError::Internal { .. } => 5,
         ServiceError::WorkerLost => 6,
     }
@@ -304,7 +299,7 @@ pub struct TraceConfig {
     /// Events each ring holds before overwriting the oldest (rounded up
     /// to a power of two; default 4096).
     pub ring_capacity: usize,
-    /// Full traces retained for errored/shed/panicked/killed requests
+    /// Full traces retained for errored/panicked/killed requests
     /// before the store drops its oldest (default 256).
     pub error_exemplars: usize,
     /// Rolling count of slowest completed requests kept in full
@@ -441,25 +436,25 @@ impl EventRing {
     }
 }
 
-/// Why a full trace was retained as an exemplar.
+/// Why a full trace was retained as an exemplar. The discriminant is
+/// folded into [`Exemplar::digest`]; code 1 is unassigned, so that the
+/// others, and every exemplar checksum, keep their values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExemplarClass {
     /// Admission control rejected the request.
-    Rejected,
-    /// The brownout valve shed the submission.
-    Shed,
+    Rejected = 0,
     /// The submission bounced off a full queue.
-    QueueFull,
+    QueueFull = 2,
     /// The deadline expired mid-request.
-    DeadlineExceeded,
+    DeadlineExceeded = 3,
     /// A worker panic was caught while processing the request.
-    Panicked,
+    Panicked = 4,
     /// The request was answered, then a fault killed its worker.
-    WorkerKilled,
+    WorkerKilled = 5,
     /// Any other error (shutdown drain, lost worker).
-    Failed,
+    Failed = 6,
     /// Completed fine, but among the slowest-k by latency.
-    Slow,
+    Slow = 7,
 }
 
 impl ExemplarClass {
@@ -470,7 +465,6 @@ impl ExemplarClass {
             ServiceError::QueueFull => ExemplarClass::QueueFull,
             ServiceError::Rejected(_) => ExemplarClass::Rejected,
             ServiceError::DeadlineExceeded => ExemplarClass::DeadlineExceeded,
-            ServiceError::Shed => ExemplarClass::Shed,
             ServiceError::Internal { .. } => ExemplarClass::Panicked,
             ServiceError::ShuttingDown | ServiceError::WorkerLost => ExemplarClass::Failed,
         }
@@ -481,7 +475,6 @@ impl ExemplarClass {
     pub fn name(self) -> &'static str {
         match self {
             ExemplarClass::Rejected => "rejected",
-            ExemplarClass::Shed => "shed",
             ExemplarClass::QueueFull => "queue_full",
             ExemplarClass::DeadlineExceeded => "deadline_exceeded",
             ExemplarClass::Panicked => "panicked",
@@ -854,8 +847,13 @@ mod tests {
         let mut torn = e.encode();
         torn[2] = 0xFF; // no such kind
         assert_eq!(TraceEvent::decode(&torn), None);
-        // Code 1 is retired and must stay unassigned.
+        // Codes 1 and 3 are retired and must stay unassigned.
         assert_eq!(EventKind::from_u8(1), None);
+        assert_eq!(EventKind::from_u8(3), None);
+        // Exemplar digests fold the class code; the retired code 1 keeps
+        // the later ones in place.
+        assert_eq!(ExemplarClass::QueueFull as u8, 2);
+        assert_eq!(ExemplarClass::Slow as u8, 7);
     }
 
     #[test]
@@ -902,9 +900,9 @@ mod tests {
         };
         let b = Exemplar {
             trace_id: 2,
-            class: ExemplarClass::Shed,
+            class: ExemplarClass::QueueFull,
             latency_us: 0,
-            events: vec![event(2, EventKind::Shed, 1, 0)],
+            events: vec![event(2, EventKind::QueueFull, 1, 0)],
             truncated: false,
         };
         assert_eq!(

@@ -10,8 +10,7 @@ use std::time::{Duration, Instant};
 use moqo_catalog::Catalog;
 use moqo_cost::{Objective, ObjectiveSet, Preference};
 use moqo_service::{
-    BrownoutConfig, ExemplarClass, FaultPlan, OptimizationRequest, OptimizationService,
-    ServiceError, TraceConfig,
+    ExemplarClass, FaultPlan, OptimizationRequest, OptimizationService, ServiceError, TraceConfig,
 };
 
 fn weighted_pref() -> Preference {
@@ -47,7 +46,6 @@ struct ChaosOutcome {
     completed: u64,
     failed: u64,
     panics_total: u64,
-    shed: u64,
     respawns: u64,
     /// Every injected panic must survive as a full-trace exemplar.
     panic_exemplars: usize,
@@ -93,7 +91,7 @@ fn run_chaos_trace(catalog: &Catalog) -> ChaosOutcome {
         tickets.push(
             service
                 .submit(small_request(catalog))
-                .expect("no deadline, spare capacity, brownout off: every submission is accepted"),
+                .expect("no deadline, spare capacity: every submission is accepted"),
         );
     }
     // Every ticket resolves: panics come back as `Internal`, worker deaths
@@ -156,7 +154,6 @@ fn run_chaos_trace(catalog: &Catalog) -> ChaosOutcome {
         completed: metrics.completed,
         failed: metrics.failed,
         panics_total: metrics.panics_total,
-        shed: metrics.shed,
         respawns: metrics.respawns,
         panic_exemplars: trace.exemplars_of(ExemplarClass::Panicked).len(),
         kill_exemplars: trace.exemplars_of(ExemplarClass::WorkerKilled).len(),
@@ -179,7 +176,6 @@ fn chaos_trace_answers_every_request_and_heals_the_pool() {
         completed: 513 - 126,
         failed: 126,
         panics_total: 126,
-        shed: 0,
         respawns: 2,
         panic_exemplars: 126,
         kill_exemplars: 2,
@@ -248,92 +244,4 @@ fn drop_with_dead_pool_answers_the_backlog_instead_of_hanging() {
     for ticket in stranded {
         assert!(matches!(ticket.wait(), Err(ServiceError::ShuttingDown)));
     }
-}
-
-#[test]
-fn brownout_sheds_and_degrades_under_pressure() {
-    let catalog = moqo_catalog::tpch::catalog(0.01);
-    // Every job sleeps 10 ms before processing; the sleep counts as queue
-    // wait, so completed requests push the pressure EWMA far beyond the
-    // 1 µs watermark. With a single worker the backlog guard is easy to
-    // satisfy deterministically.
-    let plan = FaultPlan::parse("delay:10ms@*/1").unwrap();
-    let service = OptimizationService::builder(catalog.clone())
-        .workers(1)
-        .brownout(BrownoutConfig {
-            watermark: Some(Duration::from_micros(1)),
-            ..BrownoutConfig::default()
-        })
-        .faults(plan)
-        .tracing(TraceConfig::default())
-        .build();
-    // Distinct queries so the backlog stays cache-miss work (cache hits
-    // never degrade — serving a certified front is already cheap).
-    let pool = [3u8, 6, 12, 14, 4, 3, 6, 12];
-    let tickets: Vec<_> = pool
-        .iter()
-        .map(|q| {
-            let request =
-                OptimizationRequest::new(moqo_tpch::query(&catalog, *q), weighted_pref(), 2.0);
-            service.submit(request).unwrap()
-        })
-        .collect();
-    // Wait until pressure is measured (a completion) while a real backlog
-    // still exists, then submit: the valve must shed.
-    assert!(
-        eventually(Duration::from_secs(10), || service.metrics().completed >= 1
-            && service.queued() >= 1),
-        "never reached the pressured-with-backlog state"
-    );
-    match service.submit(small_request(&catalog)) {
-        Err(ServiceError::Shed) => {}
-        Err(other) => panic!("expected Shed, got {other:?}"),
-        Ok(_) => panic!("expected Shed, got an accepted submission"),
-    }
-
-    let mut degraded_blocks_seen = 0;
-    for ticket in tickets {
-        if let Ok(response) = ticket.wait() {
-            for block in &response.blocks {
-                if block.report.degraded_by_pressure {
-                    degraded_blocks_seen += 1;
-                    assert!(
-                        block.achieved_alpha.is_infinite(),
-                        "a browned-out block must not claim a guarantee"
-                    );
-                }
-            }
-        }
-    }
-    // With the backlog drained the valve reopens (the queue-length guard
-    // keeps a stale EWMA from shedding forever): a plain submit goes
-    // straight through.
-    let resubmitted = service
-        .submit(small_request(&catalog))
-        .and_then(moqo_service::Ticket::wait);
-    assert!(resubmitted.is_ok(), "{resubmitted:?}");
-
-    // The shed submission never took a queue slot, yet its trace survives
-    // as a full exemplar (tail-based retention keeps every error class).
-    let trace = service.trace_snapshot().expect("tracing enabled");
-    let shed_exemplars = trace.exemplars_of(ExemplarClass::Shed);
-    assert!(
-        !shed_exemplars.is_empty(),
-        "a shed request must be retained as an exemplar"
-    );
-    assert!(
-        shed_exemplars[0]
-            .events
-            .iter()
-            .any(|e| e.kind.name() == "shed"),
-        "the shed exemplar carries the shed event"
-    );
-
-    let metrics = service.shutdown();
-    assert!(metrics.shed >= 1, "{:?}", metrics.shed);
-    assert!(
-        metrics.degraded_blocks >= 1 && degraded_blocks_seen >= 1,
-        "pressured cache-miss blocks should degrade: counter={}, seen={degraded_blocks_seen}",
-        metrics.degraded_blocks
-    );
 }

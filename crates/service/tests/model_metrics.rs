@@ -1,12 +1,12 @@
 //! Model-checked invariants of the lock-free metrics spine: the
-//! log-bucket histogram, the pressure-gauge EWMA CAS loop, and the
-//! learned block-time estimator (run with `RUSTFLAGS="--cfg moqo_model"
+//! log-bucket histogram and the EWMA CAS loop of the learned block-time
+//! estimator (run with `RUSTFLAGS="--cfg moqo_model"
 //! cargo test -p moqo_service --test model_metrics --release`).
 #![cfg(moqo_model)]
 
 use std::time::Duration;
 
-use moqo_service::{LearnedBlockTimes, LogHistogram, PressureGauge};
+use moqo_service::{LearnedBlockTimes, LogHistogram};
 use moqo_sync::model::{self, Config};
 use moqo_sync::thread;
 use moqo_sync::Arc;
@@ -37,34 +37,11 @@ fn histogram_conserves_concurrent_samples() {
     assert!(report.coverage_ok(10_000), "coverage too low: {report:?}");
 }
 
-/// The pressure gauge's CAS loop folds both racing samples in one of the
-/// two serialization orders — the final EWMA is always from the
-/// enumerable set, never a corrupted mix (the monotonic-CAS invariant:
-/// a lost race retries against the winner's value, it never overwrites
-/// it).
-#[test]
-fn pressure_gauge_cas_serializes_racing_samples() {
-    let report = model::check("pressure_gauge_cas", &Config::smoke(), || {
-        let gauge = Arc::new(PressureGauge::default());
-        let other = {
-            let gauge = Arc::clone(&gauge);
-            thread::spawn(move || gauge.record(Duration::from_millis(20)))
-        };
-        gauge.record(Duration::from_millis(10));
-        other.join().expect("recorder");
-        let final_us = gauge.current().expect("two samples recorded").as_secs_f64() * 1e6;
-        // 10ms then 20ms: 0.2·20 + 0.8·10 = 12ms; the other order: 18ms.
-        let acceptable = [12_000.0, 18_000.0];
-        assert!(
-            acceptable.iter().any(|v| (final_us - v).abs() < 1e-6),
-            "EWMA {final_us}µs is not a valid serialization of the two samples"
-        );
-    });
-    assert!(report.coverage_ok(10_000), "coverage too low: {report:?}");
-}
-
-/// Same CAS-serialization invariant for the deadline policy's learned
-/// per-block-size wall-time EWMA ([`LearnedBlockTimes`]).
+/// The learned per-block-size wall-time EWMA ([`LearnedBlockTimes`])
+/// folds both racing samples in one of the two serialization orders — the
+/// final estimate is always from the enumerable set, never a corrupted mix
+/// (the monotonic-CAS invariant: a lost race retries against the winner's
+/// value, it never overwrites it).
 #[test]
 fn learned_block_times_cas_serializes_racing_samples() {
     let report = model::check("learned_block_times_cas", &Config::smoke(), || {
@@ -80,6 +57,7 @@ fn learned_block_times_cas_serializes_racing_samples() {
             .expect("two samples recorded")
             .as_secs_f64()
             * 1e6;
+        // 10ms then 20ms: 0.2·20 + 0.8·10 = 12ms; the other order: 18ms.
         let acceptable = [12_000.0, 18_000.0];
         assert!(
             acceptable.iter().any(|v| (final_us - v).abs() < 1e-6),

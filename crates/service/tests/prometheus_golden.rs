@@ -31,11 +31,11 @@ fn fixed_snapshot() -> MetricsSnapshot {
         timed_out: 14,
         failed: 15,
         queue_full: 16,
-        shed: 17,
+        // Always 0 in a live service, and not part of the exposition.
+        shed: 0,
         panics_total: 18,
         respawns: 19,
         stalls_detected: 20,
-        degraded_blocks: 21,
         downgraded_blocks: 22,
         throughput_rps: 42.25,
         p50: Duration::from_micros(1_500),
@@ -52,7 +52,6 @@ fn fixed_snapshot() -> MetricsSnapshot {
         blocks_ira: 33,
         blocks_rmq: 34,
         blocks_cached: 35,
-        pressure: Some(Duration::from_micros(2_500)),
         alive_workers: 3,
         cache: CacheSnapshot {
             hits: 101,

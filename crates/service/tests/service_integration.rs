@@ -634,6 +634,34 @@ fn queue_wait_past_the_deadline_counts_as_timed_out() {
     assert_eq!(metrics.errors_total(), 1);
 }
 
+/// An EXA hint does not lift EXA's size gate: on a block one relation
+/// over it (the gate is 7 relations), a deadline-free hinted request is
+/// rejected instead of running an unbounded exact DP.
+#[test]
+fn hinted_exa_over_its_size_gate_is_rejected() {
+    let catalog = moqo_tpch::catalog(0.01);
+    let service = OptimizationService::builder(catalog.clone())
+        .workers(1)
+        .build();
+    let request = OptimizationRequest::new(
+        moqo_tpch::large_query_with(&catalog, 8, moqo_tpch::Topology::Chain),
+        weighted_pref(),
+        1.0,
+    )
+    .with_hint(Algorithm::Exhaustive);
+    assert!(request.deadline.is_none());
+    match service.submit_wait(request) {
+        Err(ServiceError::Rejected(reason)) => {
+            assert!(reason.contains("8-relation"), "{reason}");
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    let metrics = service.metrics();
+    assert_eq!(metrics.rejected, 1);
+    assert_eq!(metrics.submitted, 0, "rejected before taking a queue slot");
+    assert_eq!(metrics.panics_total, 0);
+}
+
 #[test]
 fn deadline_pressure_downgrades_to_the_anytime_search() {
     let catalog = moqo_tpch::catalog(0.01);
